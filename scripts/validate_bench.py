@@ -3,7 +3,7 @@
 
 Checks every ``BENCH_*.json`` at the repo root (and the smoke-mode
 documents under ``benchmarks/out/``, when present) against the
-``repro.bench/v1`` schema, and re-asserts the floors each document
+``repro.bench/v1`` schema, and re-checks the floors each document
 exists to witness:
 
 * stepping-mode documents (``BENCH_tperf_ntcp.json``) — pipelined
@@ -26,6 +26,9 @@ exists to witness:
   uncrashed campaign, and (for the committed document) >= 60
   submissions surviving >= 3 crashes.
 
+A document that breaks its schema or a floor is reported on stderr and
+the script exits 1.
+
 Run:  python scripts/validate_bench.py   (or ``make validate-bench``)
 """
 
@@ -37,125 +40,108 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.telemetry.schema import validate_bench_payload  # noqa: E402
+from repro.util.schema import SchemaError  # noqa: E402
 
 
-def check_stepping(path: pathlib.Path, payload: dict, *,
-                   committed: bool) -> None:
+class FloorError(Exception):
+    """A benchmark document misses a floor it exists to witness."""
+
+
+def floor(condition: bool, message: str) -> None:
+    if not condition:
+        raise FloorError(message)
+
+
+def stepping_floors(payload: dict, committed: bool) -> None:
     speed = payload["speedups"]
-    assert payload["bit_exact"]["pipelined"], f"{path}: pipelined not bit-exact"
-    assert payload["bit_exact"]["ensemble_base_variant"], \
-        f"{path}: ensemble base variant not bit-exact"
-    assert speed["pipelined_aggregate_steps_per_s"] >= 1.5, \
-        f"{path}: pipelined speedup below 1.5x"
-    floor = payload["config"]["n_variants"] / 2.0
+    floor(payload["bit_exact"]["pipelined"], "pipelined not bit-exact")
+    floor(payload["bit_exact"]["ensemble_base_variant"],
+          "ensemble base variant not bit-exact")
+    floor(speed["pipelined_aggregate_steps_per_s"] >= 1.5,
+          "pipelined speedup below 1.5x")
+    minimum = payload["config"]["n_variants"] / 2.0
     if committed:
-        floor = max(floor, 4.0)
-    assert speed["ensemble_aggregate_variant_steps_per_s"] >= floor, \
-        f"{path}: ensemble speedup below {floor}x"
-    print(f"  {path.relative_to(ROOT)}: OK "
-          f"(pipelined {speed['pipelined_aggregate_steps_per_s']:.2f}x, "
-          f"ensemble {speed['ensemble_aggregate_variant_steps_per_s']:.2f}x)")
+        minimum = max(minimum, 4.0)
+    floor(speed["ensemble_aggregate_variant_steps_per_s"] >= minimum,
+          f"ensemble speedup below {minimum}x")
 
 
-def check_fleet(path: pathlib.Path, payload: dict, *,
-                committed: bool) -> None:
+def fleet_floors(payload: dict, committed: bool) -> None:
     config = payload["config"]
     fleet = payload["fleet"]
-    assert fleet["completed"] == config["n_experiments"], \
-        f"{path}: not every experiment completed"
-    assert fleet["duplicate_executes"] == 0, \
-        f"{path}: duplicate executes on shared sites"
-    assert payload["fairness"]["within_bound"], \
-        f"{path}: fairness ratio exceeds its bound"
-    assert payload["bit_exact"]["solo_vs_fleet"], \
-        f"{path}: fleet histories not bit-exact vs solo runs"
-    assert payload["security"]["unauthorized_rejected"], \
-        f"{path}: unauthorized call was not rejected"
+    floor(fleet["completed"] == config["n_experiments"],
+          "not every experiment completed")
+    floor(fleet["duplicate_executes"] == 0,
+          "duplicate executes on shared sites")
+    floor(payload["fairness"]["within_bound"],
+          "fairness ratio exceeds its bound")
+    floor(payload["bit_exact"]["solo_vs_fleet"],
+          "fleet histories not bit-exact vs solo runs")
+    floor(payload["security"]["unauthorized_rejected"],
+          "unauthorized call was not rejected")
     if committed:
-        assert config["n_experiments"] >= 100, \
-            f"{path}: committed fleet document needs >= 100 experiments"
-        assert config["n_sites"] <= 8, \
-            f"{path}: committed fleet document needs <= 8 shared sites"
-    print(f"  {path.relative_to(ROOT)}: OK "
-          f"({config['n_experiments']} experiments / "
-          f"{config['n_sites']} sites, fairness "
-          f"{payload['fairness']['completion_ratio']:.2f} <= "
-          f"{payload['fairness']['bound']})")
+        floor(config["n_experiments"] >= 100,
+              "committed fleet document needs >= 100 experiments")
+        floor(config["n_sites"] <= 8,
+              "committed fleet document needs <= 8 shared sites")
 
 
-def check_obs(path: pathlib.Path, payload: dict, *,
-              committed: bool) -> None:
+def obs_floors(payload: dict, committed: bool) -> None:
     overhead = payload["overhead"]
-    assert overhead["within_bound"], \
-        f"{path}: observatory overhead exceeds its bound"
-    assert abs(overhead["overhead_fraction"]) <= overhead["bound"], \
-        f"{path}: overhead_fraction disagrees with within_bound"
-    assert payload["rollups"]["consistent"], \
-        f"{path}: rollup buckets disagree with their raw points"
-    assert payload["determinism"]["query_identical"], \
-        f"{path}: query documents not identical across campaigns"
-    assert payload["determinism"]["postmortem_identical"], \
-        f"{path}: postmortems not identical across campaigns"
+    floor(overhead["within_bound"], "observatory overhead exceeds its bound")
+    floor(abs(overhead["overhead_fraction"]) <= overhead["bound"],
+          "overhead_fraction disagrees with within_bound")
+    floor(payload["rollups"]["consistent"],
+          "rollup buckets disagree with their raw points")
+    floor(payload["determinism"]["query_identical"],
+          "query documents not identical across campaigns")
+    floor(payload["determinism"]["postmortem_identical"],
+          "postmortems not identical across campaigns")
     flight = payload["flight"]
-    assert flight["timeline_names_site_and_step"], \
-        f"{path}: postmortem does not name the faulted site and step"
+    floor(flight["timeline_names_site_and_step"],
+          "postmortem does not name the faulted site and step")
     if committed:
-        assert payload["rollups"]["series_checked"] >= 1, \
-            f"{path}: committed observatory document checked no rollups"
-    print(f"  {path.relative_to(ROOT)}: OK "
-          f"(overhead {overhead['overhead_fraction']:+.2%} within "
-          f"{overhead['bound']:.0%}, {payload['rollups']['series_checked']} "
-          f"rollup series, abort at step {flight['aborted_step']} "
-          f"on {flight['faulted_site']})")
+        floor(payload["rollups"]["series_checked"] >= 1,
+              "committed observatory document checked no rollups")
 
 
-def check_tqueue(path: pathlib.Path, payload: dict, *,
-                 committed: bool) -> None:
+def queue_floors(payload: dict, committed: bool) -> None:
     config = payload["config"]
     campaign = payload["campaign"]
     fencing = payload["fencing"]
     exact = payload["exactness"]
-    assert campaign["completed"] == config["n_submissions"], \
-        f"{path}: not every submission completed"
-    assert campaign["outstanding"] == 0, \
-        f"{path}: submissions left outstanding after the campaign"
-    assert exact["duplicate_executes"] == 0, \
-        f"{path}: duplicate executes under redelivery"
-    assert fencing["stale_accepts"] == 0, \
-        f"{path}: a stale-epoch write was accepted"
-    assert fencing["every_crash_epoch_refused"], \
-        f"{path}: a crash epoch produced no fencing refusal"
+    floor(campaign["completed"] == config["n_submissions"],
+          "not every submission completed")
+    floor(campaign["outstanding"] == 0,
+          "submissions left outstanding after the campaign")
+    floor(exact["duplicate_executes"] == 0,
+          "duplicate executes under redelivery")
+    floor(fencing["stale_accepts"] == 0, "a stale-epoch write was accepted")
+    floor(fencing["every_crash_epoch_refused"],
+          "a crash epoch produced no fencing refusal")
     for epoch in range(1, len(config["crash_times"]) + 1):
-        assert fencing["refusals_by_epoch"].get(str(epoch), 0) >= 1, \
-            f"{path}: crash epoch {epoch} has no recorded refusal"
-    assert exact["resubmit_deduped"], \
-        f"{path}: resubmitted id was not deduped"
-    assert exact["bit_exact_vs_uncrashed"], \
-        f"{path}: recovered histories differ from the uncrashed run"
+        floor(fencing["refusals_by_epoch"].get(str(epoch), 0) >= 1,
+              f"crash epoch {epoch} has no recorded refusal")
+    floor(exact["resubmit_deduped"], "resubmitted id was not deduped")
+    floor(exact["bit_exact_vs_uncrashed"],
+          "recovered histories differ from the uncrashed run")
     if committed:
-        assert config["n_submissions"] >= 60, \
-            f"{path}: committed queue document needs >= 60 submissions"
-        assert len(config["crash_times"]) >= 3, \
-            f"{path}: committed queue document needs >= 3 crashes"
-    print(f"  {path.relative_to(ROOT)}: OK "
-          f"({config['n_submissions']} submissions / "
-          f"{len(config['crash_times'])} crashes, "
-          f"{campaign['redeliveries']} redeliveries, "
-          f"{fencing['refusals']} refusals, "
-          f"{exact['duplicate_executes']} duplicate executes)")
+        floor(config["n_submissions"] >= 60,
+              "committed queue document needs >= 60 submissions")
+        floor(len(config["crash_times"]) >= 3,
+              "committed queue document needs >= 3 crashes")
+
+
+#: ``$.experiment`` -> the floors its documents must meet
+FLOORS = {"tperf_ntcp": stepping_floors, "tfleet": fleet_floors,
+          "tobs": obs_floors, "tqueue": queue_floors}
 
 
 def check(path: pathlib.Path, *, committed: bool) -> None:
+    """Validate one document and check its floors."""
     payload = json.loads(path.read_text())
     validate_bench_payload(payload)
-    if payload["experiment"] == "tfleet":
-        check_fleet(path, payload, committed=committed)
-    elif payload["experiment"] == "tobs":
-        check_obs(path, payload, committed=committed)
-    elif payload["experiment"] == "tqueue":
-        check_tqueue(path, payload, committed=committed)
-    else:
-        check_stepping(path, payload, committed=committed)
+    FLOORS[payload["experiment"]](payload, committed)
 
 
 def main() -> int:
@@ -163,15 +149,23 @@ def main() -> int:
     if not committed:
         print("no BENCH_*.json documents at the repo root", file=sys.stderr)
         return 1
-    print("validating benchmark documents (repro.bench/v1):")
-    for path in committed:
-        check(path, committed=True)
-    for name in ("BENCH_tperf_ntcp.smoke.json", "BENCH_tfleet.smoke.json",
-                  "BENCH_tobs.smoke.json", "BENCH_tqueue.smoke.json"):
-        smoke = ROOT / "benchmarks" / "out" / name
+    documents = [(path, True) for path in committed]
+    for name in FLOORS:
+        smoke = ROOT / "benchmarks" / "out" / f"BENCH_{name}.smoke.json"
         if smoke.exists():
-            check(smoke, committed=False)
-    return 0
+            documents.append((smoke, False))
+    print("validating benchmark documents (repro.bench/v1):")
+    failed = 0
+    for path, is_committed in documents:
+        shown = path.relative_to(ROOT)
+        try:
+            check(path, committed=is_committed)
+        except (ValueError, SchemaError, FloorError) as exc:
+            print(f"  {shown}: FAILED: {exc}", file=sys.stderr)
+            failed += 1
+        else:
+            print(f"  {shown}: OK")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

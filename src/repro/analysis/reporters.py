@@ -1,8 +1,8 @@
 """Reporters for analysis runs: text for terminals, JSON for tooling.
 
 The JSON document is schema-stamped (``repro.analysis/v1``) and validated
-hand-rolled, the same discipline as :mod:`repro.telemetry.schema`: a
-malformed report fails the producer, not the downstream consumer.
+with the shared schema layer (:mod:`repro.util.schema`): a malformed
+report fails the producer, not the downstream consumer.
 """
 
 from __future__ import annotations
@@ -11,12 +11,23 @@ import json
 from typing import Any
 
 from repro.analysis.engine import AnalysisResult, Finding
-from repro.util.errors import ReproError
+from repro.util.schema import (
+    SchemaError,
+    array_of,
+    count,
+    envelope,
+    integer,
+    object_of,
+    parse_json,
+    raises,
+    require,
+    text,
+)
 
 SCHEMA_ID = "repro.analysis/v1"
 
 
-class ReportError(ReproError):
+class ReportError(SchemaError):
     """An analysis report does not match the expected shape."""
 
 
@@ -53,46 +64,27 @@ def render_json(result: AnalysisResult) -> str:
     return json.dumps(build_report(result), indent=2, sort_keys=True)
 
 
-def validate_report(payload: Any) -> None:
-    """Hand-rolled schema check for an analysis report document."""
-    def fail(path: str, message: str) -> None:
-        raise ReportError(f"{path}: {message}")
+_FINDING = {"path": text, "line": integer, "col": integer, "code": text,
+            "message": text}
 
-    if not isinstance(payload, dict):
-        fail("$", "report must be an object")
-    if payload.get("schema") != SCHEMA_ID:
-        fail("$.schema", f"expected {SCHEMA_ID!r}, got "
-                         f"{payload.get('schema')!r}")
-    for key in ("files", "suppressed"):
-        value = payload.get(key)
-        if not isinstance(value, int) or value < 0:
-            fail(f"$.{key}", "must be a non-negative integer")
-    counts = payload.get("counts")
-    if not isinstance(counts, dict):
-        fail("$.counts", "must be an object")
-    for code, n in counts.items():
-        if not (isinstance(code, str) and isinstance(n, int) and n >= 0):
-            fail(f"$.counts.{code}", "must map code strings to counts")
-    findings = payload.get("findings")
-    if not isinstance(findings, list):
-        fail("$.findings", "must be a list")
-    for i, record in enumerate(findings):
-        path = f"$.findings[{i}]"
-        if not isinstance(record, dict):
-            fail(path, "finding must be an object")
-        for key, kind in (("path", str), ("line", int), ("col", int),
-                          ("code", str), ("message", str)):
-            if not isinstance(record.get(key), kind):
-                fail(f"{path}.{key}", f"must be a {kind.__name__}")
+
+@raises(ReportError)
+def validate_report(payload: Any) -> None:
+    """Schema check for an analysis report document."""
+    envelope(payload, SCHEMA_ID)
+    count(payload.get("files"), "$.files")
+    count(payload.get("suppressed"), "$.suppressed")
+    counts = object_of(payload.get("counts"), "$.counts", count)
+    findings = array_of(payload.get("findings"), "$.findings",
+                        _FINDING)
     total = sum(counts.values())
-    if total != len(findings):
-        fail("$.counts", f"counts sum to {total} but there are "
-                         f"{len(findings)} findings")
+    require(total == len(findings), "$.counts",
+            f"counts sum to {total} but there are {len(findings)} findings")
 
 
 def load_report(text: str) -> AnalysisResult:
     """Parse a JSON report back into an :class:`AnalysisResult`."""
-    payload = json.loads(text)
+    payload = parse_json(text, ReportError, "$: not a JSON report")
     validate_report(payload)
     return AnalysisResult(
         findings=[Finding.from_dict(f) for f in payload["findings"]],

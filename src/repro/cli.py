@@ -29,9 +29,28 @@ Subcommands map to the experiments a user most often wants to replay:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
+
+from repro.util.schema import parse_json
+
+
+class _MalformedInput(Exception):
+    """A file named on the command line holds a malformed document."""
+
+
+@contextlib.contextmanager
+def _reading(error: type[Exception]):
+    """Re-raise ``error`` from reading a file named on the command line
+    as :class:`_MalformedInput`, which :func:`main` prints as one
+    ``error:`` line (exit 1).  The same error raised anywhere else is a
+    bug and keeps its traceback."""
+    try:
+        yield
+    except error as exc:
+        raise _MalformedInput(str(exc)) from exc
 
 
 def _cmd_most(args: argparse.Namespace) -> int:
@@ -275,7 +294,7 @@ def _open_file_queue(path: str):
 
 
 def _cmd_queue_submit(args: argparse.Namespace) -> int:
-    from repro.queue import QueueSubmission
+    from repro.queue import QueueSchemaError, QueueSubmission
 
     kernel, queue = _open_file_queue(args.journal)
     submission = QueueSubmission(
@@ -285,7 +304,8 @@ def _cmd_queue_submit(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every)
 
     def driver():
-        yield from queue.recover()
+        with _reading(QueueSchemaError):
+            yield from queue.recover()
         known = queue.stats()["submitted"]
         body = yield from queue.submit(submission)
         return body, queue.stats()["submitted"] == known
@@ -308,9 +328,12 @@ def _cmd_queue_submit(args: argparse.Namespace) -> int:
 def _cmd_queue_status(args: argparse.Namespace) -> int:
     import json
 
+    from repro.queue import QueueSchemaError
+
     kernel, queue = _open_file_queue(args.journal)
-    kernel.run(until=kernel.process(queue.recover(),
-                                    name="queue.cli.status"))
+    with _reading(QueueSchemaError):
+        kernel.run(until=kernel.process(queue.recover(),
+                                        name="queue.cli.status"))
     stats = queue.stats()
     if args.json:
         doc = dict(stats)
@@ -347,6 +370,7 @@ def _cmd_queue_drain(args: argparse.Namespace) -> int:
         ExperimentQueue,
         FencingAuthority,
         FileJournalStore,
+        QueueSchemaError,
         run_durable_campaign,
     )
 
@@ -360,8 +384,9 @@ def _cmd_queue_drain(args: argparse.Namespace) -> int:
     # journaled: the first incarnation below must register a fresh epoch
     # above every epoch already in the log, or its own writes would be
     # voided as stale on the next replay.
-    grid.kernel.run(until=grid.kernel.process(queue.recover(),
-                                              name="queue.cli.bootstrap"))
+    with _reading(QueueSchemaError):
+        grid.kernel.run(until=grid.kernel.process(
+            queue.recover(), name="queue.cli.bootstrap"))
     outstanding = queue.depth()
     crashes = tuple(args.crash_after or ())
     print(f"draining {args.journal}: {outstanding} outstanding over "
@@ -396,13 +421,13 @@ def _cmd_queue_drain(args: argparse.Namespace) -> int:
 
 
 def _load_dump(path: str):
-    import json
+    from repro.observatory.schema import ObservatorySchemaError, validate_dump
 
-    from repro.observatory.schema import validate_dump
-
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    validate_dump(doc)
+    with _reading(ObservatorySchemaError), \
+            open(path, encoding="utf-8") as fh:
+        doc = parse_json(fh.read(), ObservatorySchemaError,
+                         f"{path}: not a JSON store dump")
+        validate_dump(doc)
     return doc
 
 
@@ -814,6 +839,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except BrokenPipeError:  # e.g. a postmortem piped into head
         return 0
+    except _MalformedInput as exc:  # a corrupt journal or store dump
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

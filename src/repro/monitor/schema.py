@@ -3,8 +3,8 @@
 Everything the operations console moves over the wire — health SDEs,
 streamed metric snapshots, alerts — is a plain dict carrying
 ``schema: "repro.monitor/v1"`` and a ``kind`` discriminator, validated at
-both the publishing and the consuming end.  Hand-rolled in the style of
-:mod:`repro.telemetry.schema`: stdlib only, JSON-path error messages.
+both the publishing and the consuming end, with the shared JSON-path
+checks of :mod:`repro.util.schema`.
 
 Payload kinds:
 
@@ -22,8 +22,21 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.telemetry.schema import validate_metric_name
-from repro.util.errors import ReproError
+from repro.telemetry.schema import validate_metric_record
+from repro.util.schema import (
+    SchemaError,
+    array,
+    envelope,
+    integer,
+    mapping,
+    number,
+    one_of,
+    raises,
+    require,
+    string,
+    string_or_null,
+    text,
+)
 
 SCHEMA_ID = "repro.monitor/v1"
 
@@ -32,49 +45,16 @@ ALERT_KINDS = ("stall", "slow_site", "stream_health", "breaker_open",
                "slo_burn", "queue_redelivery")
 ALERT_SEVERITIES = ("info", "warning", "critical")
 
-_METRIC_TYPES = ("counter", "gauge", "histogram")
 # Streamed summaries carry p95 (the slow-site detector's budget input)
 # instead of the exporter's p90.
 _SUMMARY_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p95", "p99")
 
 
-class MonitorSchemaError(ReproError):
+class MonitorSchemaError(SchemaError):
     """A monitor payload does not match the ``repro.monitor/v1`` shape."""
 
 
-def _fail(path: str, message: str) -> None:
-    raise MonitorSchemaError(f"{path}: {message}")
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
-
-
-def _check_int(value: Any, path: str, *, minimum: int | None = None) -> None:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None:
-        _require(value >= minimum, path, f"must be >= {minimum}, got {value}")
-
-
-def _check_envelope(payload: Any, kind: str) -> None:
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("kind") == kind, "$.kind",
-             f"expected {kind!r}, got {payload.get('kind')!r}")
-    source = payload.get("source")
-    _require(isinstance(source, str) and bool(source), "$.source",
-             "source must be a non-empty string")
-    _check_number(payload.get("time"), "$.time")
-
-
+@raises(MonitorSchemaError)
 def validate_health_payload(payload: Any) -> None:
     """A ``health`` SDE value.
 
@@ -84,49 +64,17 @@ def validate_health_payload(payload: Any) -> None:
          "source": "ntcp-uiuc", "time": 42.0, "status": "running",
          "backlog": 0, "step"?: 17, "plugin"?: "matlab", "detail": {...}}
     """
-    _check_envelope(payload, "health")
-    status = payload.get("status")
-    _require(status in HEALTH_STATUSES, "$.status",
-             f"status must be one of {HEALTH_STATUSES}, got {status!r}")
-    _check_int(payload.get("backlog"), "$.backlog", minimum=0)
+    envelope(payload, SCHEMA_ID, "health", source=True, time=True)
+    one_of(payload.get("status"), "$.status", HEALTH_STATUSES)
+    integer(payload.get("backlog"), "$.backlog", minimum=0)
     if "step" in payload:
-        _check_int(payload["step"], "$.step", minimum=-1)
+        integer(payload["step"], "$.step", minimum=-1)
     if "plugin" in payload:
-        _require(isinstance(payload["plugin"], str), "$.plugin",
-                 "plugin must be a string")
-    _require(isinstance(payload.get("detail", {}), dict), "$.detail",
-             "detail must be an object")
+        text(payload["plugin"], "$.plugin")
+    mapping(payload.get("detail", {}), "$.detail")
 
 
-def _check_metric_record(record: Any, path: str) -> None:
-    _require(isinstance(record, dict), path, "metric record must be an object")
-    validate_metric_name(record.get("name"), f"{path}.name")
-    mtype = record.get("type")
-    _require(mtype in _METRIC_TYPES, f"{path}.type",
-             f"metric type must be one of {_METRIC_TYPES}, got {mtype!r}")
-    labels = record.get("labels", {})
-    _require(isinstance(labels, dict), f"{path}.labels",
-             "labels must be an object")
-    for key, value in labels.items():
-        _require(isinstance(key, str) and isinstance(value, str),
-                 f"{path}.labels.{key}", "labels must map strings to strings")
-    if mtype == "histogram":
-        summary = record.get("summary")
-        _require(isinstance(summary, dict), f"{path}.summary",
-                 "histogram requires a summary object")
-        for key in _SUMMARY_KEYS:
-            _require(key in summary, f"{path}.summary.{key}", "missing")
-            _check_number(summary[key], f"{path}.summary.{key}")
-    else:
-        _require("value" in record, f"{path}.value",
-                 f"{mtype} requires a value")
-        _check_number(record["value"], f"{path}.value")
-        if mtype == "counter":
-            _check_number(record.get("total"), f"{path}.total")
-            _require(record["total"] + 1e-9 >= record["value"],
-                     f"{path}.total", "cumulative total below the delta")
-
-
+@raises(MonitorSchemaError)
 def validate_metrics_sample(payload: Any) -> None:
     """One streamed metrics snapshot (an NSDS sample value).
 
@@ -139,14 +87,18 @@ def validate_metrics_sample(payload: Any) -> None:
     the cumulative ``total`` (so a consumer behind a lossy stream can
     resynchronise); histograms carry a cumulative summary.
     """
-    _check_envelope(payload, "metrics")
-    _check_int(payload.get("seq"), "$.seq", minimum=1)
-    metrics = payload.get("metrics")
-    _require(isinstance(metrics, list), "$.metrics", "metrics must be a list")
-    for i, record in enumerate(metrics):
-        _check_metric_record(record, f"$.metrics[{i}]")
+    envelope(payload, SCHEMA_ID, "metrics", source=True, time=True)
+    integer(payload.get("seq"), "$.seq", minimum=1)
+    for i, record in enumerate(array(payload.get("metrics"), "$.metrics")):
+        path = f"$.metrics[{i}]"
+        validate_metric_record(record, path, _SUMMARY_KEYS)
+        if record["type"] == "counter":
+            total = number(record.get("total"), f"{path}.total")
+            require(total + 1e-9 >= record["value"], f"{path}.total",
+                    "cumulative total below the delta")
 
 
+@raises(MonitorSchemaError)
 def validate_alert_payload(payload: Any) -> None:
     """One typed alert record.
 
@@ -158,22 +110,11 @@ def validate_alert_payload(payload: Any) -> None:
          "severity": "critical", "step": 24, "site": null,
          "message": "...", "detail": {...}}
     """
-    _check_envelope(payload, "alert")
-    alert_id = payload.get("alert_id")
-    _require(isinstance(alert_id, str) and bool(alert_id), "$.alert_id",
-             "alert_id must be a non-empty string")
-    taxonomy = payload.get("alert")
-    _require(taxonomy in ALERT_KINDS, "$.alert",
-             f"alert must be one of {ALERT_KINDS}, got {taxonomy!r}")
-    severity = payload.get("severity")
-    _require(severity in ALERT_SEVERITIES, "$.severity",
-             f"severity must be one of {ALERT_SEVERITIES}, got {severity!r}")
-    _check_int(payload.get("step"), "$.step", minimum=-1)
-    site = payload.get("site")
-    _require(site is None or (isinstance(site, str) and bool(site)),
-             "$.site", "site must be a non-empty string or null")
-    message = payload.get("message")
-    _require(isinstance(message, str) and bool(message), "$.message",
-             "message must be a non-empty string")
-    _require(isinstance(payload.get("detail", {}), dict), "$.detail",
-             "detail must be an object")
+    envelope(payload, SCHEMA_ID, "alert", source=True, time=True)
+    string(payload.get("alert_id"), "$.alert_id")
+    one_of(payload.get("alert"), "$.alert", ALERT_KINDS)
+    one_of(payload.get("severity"), "$.severity", ALERT_SEVERITIES)
+    integer(payload.get("step"), "$.step", minimum=-1)
+    string_or_null(payload.get("site"), "$.site")
+    string(payload.get("message"), "$.message")
+    mapping(payload.get("detail", {}), "$.detail")

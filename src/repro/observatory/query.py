@@ -30,13 +30,23 @@ from typing import Any
 
 from repro.observatory.schema import (AGGREGATIONS, TIERS,
                                       validate_query_result)
-from repro.util.errors import ReproError
+from repro.util.schema import (
+    SchemaError,
+    labels,
+    mapping,
+    number,
+    one_of,
+    positive_int,
+    raises,
+    require,
+    string,
+)
 
 DEFAULT_PAGE_SIZE = 10
 DEFAULT_MAX_POINTS = 200
 
 
-class QueryError(ReproError):
+class QueryError(SchemaError):
     """A malformed observatory query request."""
 
 
@@ -136,51 +146,29 @@ def _combined(op: str, quantile: float,
     return {"op": op, "value": value, "count": count}
 
 
+@raises(QueryError)
 def normalize_request(request: dict[str, Any], *, now: float) -> dict[str, Any]:
     """Validate and fill in a raw query request dict."""
-    if not isinstance(request, dict):
-        raise QueryError("query request must be an object")
-    metric = request.get("metric")
-    if not isinstance(metric, str) or not metric:
-        raise QueryError("query needs a non-empty 'metric'")
-    selector = request.get("selector") or {}
-    if not isinstance(selector, dict) or not all(
-            isinstance(k, str) and isinstance(v, str)
-            for k, v in selector.items()):
-        raise QueryError("'selector' must map label names to values")
+    mapping(request, "$")
+    metric = string(request.get("metric"), "$.metric")
+    selector = labels(request.get("selector") or {}, "$.selector")
     agg = request.get("agg")
-    if agg is not None and agg not in AGGREGATIONS:
-        raise QueryError(
-            f"'agg' must be one of {AGGREGATIONS}, got {agg!r}")
-    quantile = request.get("quantile")
+    if agg is not None:
+        one_of(agg, "$.agg", AGGREGATIONS)
+    quantile = None
     if agg == "quantile":
-        if not isinstance(quantile, (int, float)) or isinstance(
-                quantile, bool) or not 0.0 <= float(quantile) <= 100.0:
-            raise QueryError("'quantile' must be a number in [0, 100]")
-        quantile = float(quantile)
-    else:
-        quantile = None
-    tier = request.get("tier", "auto")
-    if tier not in ("auto",) + TIERS:
-        raise QueryError(f"'tier' must be auto or one of {TIERS}")
-    page = request.get("page", 1)
-    page_size = request.get("page_size", DEFAULT_PAGE_SIZE)
-    if not isinstance(page, int) or isinstance(page, bool) or page < 1:
-        raise QueryError("'page' must be a positive integer")
-    if (not isinstance(page_size, int) or isinstance(page_size, bool)
-            or page_size < 1):
-        raise QueryError("'page_size' must be a positive integer")
-    start = request.get("start", 0.0)
-    end = request.get("end", now)
-    for key, value in (("start", start), ("end", end)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise QueryError(f"'{key}' must be a number")
-    if end < start:
-        raise QueryError("'end' must be >= 'start'")
-    max_points = request.get("max_points", DEFAULT_MAX_POINTS)
-    if (not isinstance(max_points, int) or isinstance(max_points, bool)
-            or max_points < 1):
-        raise QueryError("'max_points' must be a positive integer")
+        quantile = float(number(request.get("quantile"), "$.quantile"))
+        require(0.0 <= quantile <= 100.0, "$.quantile",
+                "must be a number in [0, 100]")
+    tier = one_of(request.get("tier", "auto"), "$.tier", ("auto",) + TIERS)
+    page = positive_int(request.get("page", 1), "$.page")
+    page_size = positive_int(request.get("page_size", DEFAULT_PAGE_SIZE),
+                             "$.page_size")
+    start = number(request.get("start", 0.0), "$.start")
+    end = number(request.get("end", now), "$.end")
+    require(end >= start, "$.end", "must be >= start")
+    max_points = positive_int(request.get("max_points", DEFAULT_MAX_POINTS),
+                              "$.max_points")
     return {"metric": metric, "selector": dict(selector),
             "start": float(start), "end": float(end), "agg": agg,
             "quantile": quantile, "tier": tier, "page": page,

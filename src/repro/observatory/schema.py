@@ -4,8 +4,8 @@ Everything the grid observatory hands out — query results, store dumps,
 flight-recorder snapshots — is a plain dict carrying
 ``schema: "repro.observatory/v1"`` and a ``kind`` discriminator,
 validated at the producing end so a malformed document fails the run
-instead of rotting in an archive.  Hand-rolled in the style of
-:mod:`repro.telemetry.schema`: stdlib only, JSON-path error messages.
+instead of rotting in an archive.  The checks are the shared JSON-path
+primitives of :mod:`repro.util.schema`.
 
 Document kinds:
 
@@ -22,10 +22,31 @@ Document kinds:
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from repro.telemetry.schema import validate_metric_name
-from repro.util.errors import ReproError
+from repro.util.schema import (
+    SchemaError,
+    array,
+    array_of,
+    boolean,
+    count,
+    envelope,
+    fail,
+    fields,
+    integer,
+    labels,
+    mapping,
+    nullable,
+    number,
+    one_of,
+    positive_int,
+    raises,
+    require,
+    string,
+    string_or_null,
+)
 
 SCHEMA_ID = "repro.observatory/v1"
 
@@ -40,77 +61,46 @@ BUCKET_KEYS = ("start", "end", "count", "sum", "min", "max", "first",
 EVENT_TYPES = ("span", "log")
 
 
-class ObservatorySchemaError(ReproError):
+class ObservatorySchemaError(SchemaError):
     """A document does not match the ``repro.observatory/v1`` shape."""
 
 
-def _fail(path: str, message: str) -> None:
-    raise ObservatorySchemaError(f"{path}: {message}")
+def _point(point: Any, path: str) -> None:
+    require(isinstance(point, list) and len(point) == 2, path,
+            "each point is a [time, value] pair")
+    number(point[0], f"{path}[0]")
+    number(point[1], f"{path}[1]")
 
 
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
+_points = functools.partial(array_of, check=_point)
+_BUCKET = {key: number for key in BUCKET_KEYS}
 
 
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
+def _bucket(bucket: Any, path: str) -> None:
+    fields(bucket, path, _BUCKET)
+    require(bucket["end"] >= bucket["start"], f"{path}.end",
+            "bucket must close at or after its start")
+    positive_int(bucket["count"], f"{path}.count")
 
 
-def _check_int(value: Any, path: str, *, minimum: int | None = None) -> None:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None:
-        _require(value >= minimum, path, f"must be >= {minimum}, got {value}")
+def _aggregate(agg: Any, path: str) -> None:
+    mapping(agg, path)
+    one_of(agg.get("op"), f"{path}.op", AGGREGATIONS)
+    number(agg.get("value"), f"{path}.value")
+    count(agg.get("count"), f"{path}.count")
 
 
-def _check_labels(labels: Any, path: str) -> None:
-    _require(isinstance(labels, dict), path, "labels must be an object")
-    for key, value in labels.items():
-        _require(isinstance(key, str) and isinstance(value, str),
-                 f"{path}.{key}", "labels must map strings to strings")
+_aggregate_or_null = nullable(_aggregate)
 
 
-def _check_envelope(payload: Any, kind: str) -> None:
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("kind") == kind, "$.kind",
-             f"expected {kind!r}, got {payload.get('kind')!r}")
-    _check_number(payload.get("time"), "$.time")
+def _series_head(entry: Any, path: str) -> None:
+    """The name and labels every query and dump series entry starts with."""
+    mapping(entry, path)
+    validate_metric_name(entry.get("name"), f"{path}.name")
+    labels(entry.get("labels", {}), f"{path}.labels")
 
 
-def _check_points(points: Any, path: str) -> None:
-    _require(isinstance(points, list), path, "points must be a list")
-    for i, point in enumerate(points):
-        _require(isinstance(point, list) and len(point) == 2,
-                 f"{path}[{i}]", "each point is a [time, value] pair")
-        _check_number(point[0], f"{path}[{i}][0]")
-        _check_number(point[1], f"{path}[{i}][1]")
-
-
-def _check_bucket(bucket: Any, path: str) -> None:
-    _require(isinstance(bucket, dict), path, "bucket must be an object")
-    for key in BUCKET_KEYS:
-        _require(key in bucket, f"{path}.{key}", "missing")
-        _check_number(bucket[key], f"{path}.{key}")
-    _require(bucket["end"] >= bucket["start"], f"{path}.end",
-             "bucket must close at or after its start")
-    _require(isinstance(bucket["count"], int) and bucket["count"] >= 1,
-             f"{path}.count", "bucket count must be a positive integer")
-
-
-def _check_aggregate(agg: Any, path: str) -> None:
-    if agg is None:
-        return
-    _require(isinstance(agg, dict), path, "aggregate must be an object")
-    _require(agg.get("op") in AGGREGATIONS, f"{path}.op",
-             f"op must be one of {AGGREGATIONS}, got {agg.get('op')!r}")
-    _check_number(agg.get("value"), f"{path}.value")
-    _check_int(agg.get("count"), f"{path}.count", minimum=0)
-
-
+@raises(ObservatorySchemaError)
 def validate_query_result(payload: Any) -> None:
     """One query-engine answer.
 
@@ -127,37 +117,38 @@ def validate_query_result(payload: Any) -> None:
                      "aggregate": {...}|null}],
          "aggregate": {"op": "avg", "value": 1.0, "count": 40}|null}
     """
-    _check_envelope(payload, "query_result")
-    query = payload.get("query")
-    _require(isinstance(query, dict), "$.query", "query must be an object")
+    envelope(payload, SCHEMA_ID, "query_result", time=True)
+    query = mapping(payload.get("query"), "$.query")
     validate_metric_name(query.get("metric"), "$.query.metric")
-    _check_labels(query.get("selector", {}), "$.query.selector")
-    _check_number(query.get("start"), "$.query.start")
-    _check_number(query.get("end"), "$.query.end")
-    agg = query.get("agg")
-    _require(agg is None or agg in AGGREGATIONS, "$.query.agg",
-             f"agg must be null or one of {AGGREGATIONS}, got {agg!r}")
-    tier = payload.get("tier")
-    _require(tier in TIERS, "$.tier",
-             f"tier must be one of {TIERS}, got {tier!r}")
-    _check_int(payload.get("total_series"), "$.total_series", minimum=0)
-    _check_int(payload.get("page"), "$.page", minimum=1)
-    _check_int(payload.get("pages"), "$.pages", minimum=1)
-    series = payload.get("series")
-    _require(isinstance(series, list), "$.series", "series must be a list")
-    for i, entry in enumerate(series):
+    labels(query.get("selector", {}), "$.query.selector")
+    number(query.get("start"), "$.query.start")
+    number(query.get("end"), "$.query.end")
+    if query.get("agg") is not None:
+        one_of(query["agg"], "$.query.agg", AGGREGATIONS)
+    one_of(payload.get("tier"), "$.tier", TIERS)
+    count(payload.get("total_series"), "$.total_series")
+    positive_int(payload.get("page"), "$.page")
+    positive_int(payload.get("pages"), "$.pages")
+    for i, entry in enumerate(array(payload.get("series"), "$.series")):
         path = f"$.series[{i}]"
-        _require(isinstance(entry, dict), path,
-                 "series entry must be an object")
-        validate_metric_name(entry.get("name"), f"{path}.name")
-        _check_labels(entry.get("labels", {}), f"{path}.labels")
-        _check_points(entry.get("points"), f"{path}.points")
-        _require(isinstance(entry.get("truncated"), bool),
-                 f"{path}.truncated", "must be a boolean")
-        _check_aggregate(entry.get("aggregate"), f"{path}.aggregate")
-    _check_aggregate(payload.get("aggregate"), "$.aggregate")
+        _series_head(entry, path)
+        _points(entry.get("points"), f"{path}.points")
+        boolean(entry.get("truncated"), f"{path}.truncated")
+        _aggregate_or_null(entry.get("aggregate"), f"{path}.aggregate")
+    _aggregate_or_null(payload.get("aggregate"), "$.aggregate")
 
 
+def _event(event: Any, path: str) -> None:
+    mapping(event, path)
+    number(event.get("time"), f"{path}.time")
+    one_of(event.get("type"), f"{path}.type", EVENT_TYPES)
+    string(event.get("what"), f"{path}.what")
+    if event.get("step") is not None:
+        integer(event["step"], f"{path}.step")
+    mapping(event.get("detail", {}), f"{path}.detail")
+
+
+@raises(ObservatorySchemaError)
 def validate_flight_snapshot(payload: Any) -> None:
     """One flight-recorder snapshot.
 
@@ -170,44 +161,19 @@ def validate_flight_snapshot(payload: Any) -> None:
                                     "what": "transaction.proposed",
                                     "step": 39, "detail": {...}}, ...]}}
     """
-    _check_envelope(payload, "flight")
-    run_id = payload.get("run_id")
-    _require(isinstance(run_id, str) and bool(run_id), "$.run_id",
-             "run_id must be a non-empty string")
-    reason = payload.get("reason")
-    _require(isinstance(reason, str) and bool(reason), "$.reason",
-             "reason must be a non-empty string")
-    _check_int(payload.get("step"), "$.step", minimum=-1)
-    site = payload.get("site")
-    _require(site is None or (isinstance(site, str) and bool(site)),
-             "$.site", "site must be a non-empty string or null")
-    sources = payload.get("sources")
-    _require(isinstance(sources, dict), "$.sources",
-             "sources must be an object")
-    for source, events in sources.items():
+    envelope(payload, SCHEMA_ID, "flight", time=True)
+    string(payload.get("run_id"), "$.run_id")
+    string(payload.get("reason"), "$.reason")
+    integer(payload.get("step"), "$.step", minimum=-1)
+    string_or_null(payload.get("site"), "$.site")
+    for source, events in mapping(payload.get("sources"),
+                                  "$.sources").items():
         path = f"$.sources.{source}"
-        _require(isinstance(source, str) and bool(source), path,
-                 "source must be a non-empty string")
-        _require(isinstance(events, list), path, "events must be a list")
-        for i, event in enumerate(events):
-            epath = f"{path}[{i}]"
-            _require(isinstance(event, dict), epath,
-                     "event must be an object")
-            _check_number(event.get("time"), f"{epath}.time")
-            _require(event.get("type") in EVENT_TYPES, f"{epath}.type",
-                     f"type must be one of {EVENT_TYPES}")
-            what = event.get("what")
-            _require(isinstance(what, str) and bool(what), f"{epath}.what",
-                     "what must be a non-empty string")
-            step = event.get("step")
-            _require(step is None
-                     or (isinstance(step, int)
-                         and not isinstance(step, bool)),
-                     f"{epath}.step", "step must be an integer or null")
-            _require(isinstance(event.get("detail", {}), dict),
-                     f"{epath}.detail", "detail must be an object")
+        string(source, path)
+        array_of(events, path, _event)
 
 
+@raises(ObservatorySchemaError)
 def validate_dump(payload: Any) -> None:
     """A whole-store dump for offline querying.
 
@@ -221,42 +187,23 @@ def validate_dump(payload: Any) -> None:
          "slo": [{"name": "...", ...}, ...],
          "snapshots": [<flight doc>, ...]}
     """
-    _check_envelope(payload, "dump")
-    run_id = payload.get("run_id")
-    _require(isinstance(run_id, str) and bool(run_id), "$.run_id",
-             "run_id must be a non-empty string")
-    series = payload.get("series")
-    _require(isinstance(series, list), "$.series", "series must be a list")
-    for i, entry in enumerate(series):
+    envelope(payload, SCHEMA_ID, "dump", time=True)
+    string(payload.get("run_id"), "$.run_id")
+    for i, entry in enumerate(array(payload.get("series"), "$.series")):
         path = f"$.series[{i}]"
-        _require(isinstance(entry, dict), path,
-                 "series entry must be an object")
-        validate_metric_name(entry.get("name"), f"{path}.name")
-        _check_labels(entry.get("labels", {}), f"{path}.labels")
-        _check_int(entry.get("appended"), f"{path}.appended", minimum=0)
-        _check_points(entry.get("raw"), f"{path}.raw")
+        _series_head(entry, path)
+        count(entry.get("appended"), f"{path}.appended")
+        _points(entry.get("raw"), f"{path}.raw")
         for tier in ("r10", "r100"):
-            buckets = entry.get(tier)
-            _require(isinstance(buckets, list), f"{path}.{tier}",
-                     "rollup tier must be a list")
-            for j, bucket in enumerate(buckets):
-                _check_bucket(bucket, f"{path}.{tier}[{j}]")
-    slo = payload.get("slo")
-    _require(isinstance(slo, list), "$.slo", "slo must be a list")
-    for i, status in enumerate(slo):
+            array_of(entry.get(tier), f"{path}.{tier}", _bucket)
+    for i, status in enumerate(array(payload.get("slo"), "$.slo")):
         path = f"$.slo[{i}]"
-        _require(isinstance(status, dict), path,
-                 "SLO status must be an object")
-        name = status.get("name")
-        _require(isinstance(name, str) and bool(name), f"{path}.name",
-                 "name must be a non-empty string")
-        _check_number(status.get("budget_remaining"),
-                      f"{path}.budget_remaining")
-    snapshots = payload.get("snapshots")
-    _require(isinstance(snapshots, list), "$.snapshots",
-             "snapshots must be a list")
-    for i, snapshot in enumerate(snapshots):
+        mapping(status, path)
+        string(status.get("name"), f"{path}.name")
+        number(status.get("budget_remaining"), f"{path}.budget_remaining")
+    for i, snapshot in enumerate(array(payload.get("snapshots"),
+                                       "$.snapshots")):
         try:
             validate_flight_snapshot(snapshot)
-        except ObservatorySchemaError as exc:
-            _fail(f"$.snapshots[{i}]", str(exc))
+        except SchemaError as exc:
+            fail(f"$.snapshots[{i}]", str(exc))

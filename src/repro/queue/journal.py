@@ -9,10 +9,10 @@ reconstructed by replaying the journal in sequence order, which is what
 makes a fleet-scheduler crash survivable: the successor replays, sees
 claimed-but-unterminated submissions, and redelivers them.
 
-Entries are versioned, hand-rolled-schema documents exactly like the
-checkpoint (``repro.checkpoint/v1``) and telemetry schemas: ~100 lines of
-standard-library checks with JSON-path error messages, run on every
-append *and* every replay.
+Entries are versioned documents checked with the shared JSON-path
+primitives of :mod:`repro.util.schema`, like the checkpoint
+(``repro.checkpoint/v1``) and telemetry schemas, on every append *and*
+every replay.
 
 Three stores share one generator-shaped API (``append`` / ``replay``):
 
@@ -27,6 +27,7 @@ Three stores share one generator-shaped API (``append`` / ``replay``):
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from typing import Any
@@ -36,7 +37,21 @@ from repro.net.retry import RetryPolicy
 from repro.net.rpc import RpcClient
 from repro.ogsi.handle import GridServiceHandle
 from repro.repository.transport import Transport
-from repro.util.errors import ConfigurationError, ProtocolError, ReproError
+from repro.util.errors import ConfigurationError, ProtocolError
+from repro.util.schema import (
+    SchemaError,
+    array_of,
+    count,
+    envelope,
+    fields,
+    number,
+    one_of,
+    parse_json,
+    positive,
+    positive_int,
+    raises,
+    string,
+)
 
 QUEUE_SCHEMA_ID = "repro.queue/v1"
 
@@ -46,75 +61,28 @@ ENTRY_KINDS = ("submit", "epoch", "claim", "terminal")
 TERMINAL_STATUSES = ("completed", "failed")
 
 
-class QueueSchemaError(ReproError):
+class QueueSchemaError(SchemaError):
     """A queue journal entry does not match ``repro.queue/v1``."""
 
 
-def _fail(path: str, message: str) -> None:
-    raise QueueSchemaError(f"{path}: {message}")
+#: the ``body`` of each entry kind
+_BODIES = {
+    "submit": {"submission_id": string, "tenant": string, "run_id": string,
+               "n_steps": positive_int, "n_sites": positive_int,
+               "motion_scale": positive, "checkpoint_every": count},
+    "epoch": {"epoch": positive_int, "scheduler_id": string},
+    "claim": {"submission_id": string, "epoch": positive_int,
+              "attempt": positive_int,
+              "sites": functools.partial(array_of, check=string,
+                                         nonempty=True)},
+    "terminal": {"submission_id": string, "epoch": positive_int,
+                 "status": functools.partial(one_of,
+                                             choices=TERMINAL_STATUSES),
+                 "steps": count},
+}
 
 
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_str(value: Any, path: str) -> None:
-    _require(isinstance(value, str) and value, path,
-             "must be a non-empty string")
-
-
-def _check_int(value: Any, path: str, minimum: int = 0) -> None:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {type(value).__name__}")
-    _require(value >= minimum, path, f"must be >= {minimum}, got {value}")
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
-
-
-def _check_submit_body(body: dict, path: str) -> None:
-    _check_str(body.get("submission_id"), f"{path}.submission_id")
-    _check_str(body.get("tenant"), f"{path}.tenant")
-    _check_str(body.get("run_id"), f"{path}.run_id")
-    _check_int(body.get("n_steps"), f"{path}.n_steps", minimum=1)
-    _check_int(body.get("n_sites"), f"{path}.n_sites", minimum=1)
-    _check_number(body.get("motion_scale"), f"{path}.motion_scale")
-    _require(body["motion_scale"] > 0, f"{path}.motion_scale",
-             "must be positive")
-    _check_int(body.get("checkpoint_every"), f"{path}.checkpoint_every")
-
-
-def _check_epoch_body(body: dict, path: str) -> None:
-    _check_int(body.get("epoch"), f"{path}.epoch", minimum=1)
-    _check_str(body.get("scheduler_id"), f"{path}.scheduler_id")
-
-
-def _check_claim_body(body: dict, path: str) -> None:
-    _check_str(body.get("submission_id"), f"{path}.submission_id")
-    _check_int(body.get("epoch"), f"{path}.epoch", minimum=1)
-    _check_int(body.get("attempt"), f"{path}.attempt", minimum=1)
-    sites = body.get("sites")
-    _require(isinstance(sites, list) and sites, f"{path}.sites",
-             "must be a non-empty list of site names")
-    for i, site in enumerate(sites):
-        _check_str(site, f"{path}.sites[{i}]")
-
-
-def _check_terminal_body(body: dict, path: str) -> None:
-    _check_str(body.get("submission_id"), f"{path}.submission_id")
-    _check_int(body.get("epoch"), f"{path}.epoch", minimum=1)
-    _require(body.get("status") in TERMINAL_STATUSES, f"{path}.status",
-             f"must be one of {TERMINAL_STATUSES}, got {body.get('status')!r}")
-    _check_int(body.get("steps"), f"{path}.steps")
-
-
-_BODY_CHECKS = {"submit": _check_submit_body, "epoch": _check_epoch_body,
-                "claim": _check_claim_body, "terminal": _check_terminal_body}
-
-
+@raises(QueueSchemaError)
 def validate_queue_entry(payload: Any) -> None:
     """One journal entry.
 
@@ -124,17 +92,11 @@ def validate_queue_entry(payload: Any) -> None:
          "kind": "submit" | "epoch" | "claim" | "terminal",
          "body": {kind-specific fields}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == QUEUE_SCHEMA_ID, "$.schema",
-             f"expected {QUEUE_SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _check_int(payload.get("seq"), "$.seq", minimum=1)
-    _check_number(payload.get("time"), "$.time")
-    kind = payload.get("kind")
-    _require(kind in ENTRY_KINDS, "$.kind",
-             f"must be one of {ENTRY_KINDS}, got {kind!r}")
-    body = payload.get("body")
-    _require(isinstance(body, dict), "$.body", "body must be an object")
-    _BODY_CHECKS[kind](body, "$.body")
+    envelope(payload, QUEUE_SCHEMA_ID)
+    positive_int(payload.get("seq"), "$.seq")
+    number(payload.get("time"), "$.time")
+    kind = one_of(payload.get("kind"), "$.kind", ENTRY_KINDS)
+    fields(payload.get("body"), "$.body", _BODIES[kind])
 
 
 def build_entry(*, seq: int, time: float, kind: str, body: dict) -> dict:
@@ -201,20 +163,23 @@ class FileJournalStore(JournalStoreBase):
         self.path = pathlib.Path(path)
         self._next_seq: int | None = None
 
+    def _read(self) -> list[dict]:
+        """Every persisted entry, parsed and validated, in file order."""
+        if not self.path.exists():
+            return []
+        entries = []
+        for line in self.path.read_text().splitlines():
+            if line.strip():
+                entry = parse_json(line, QueueSchemaError,
+                                   f"{self.path}: corrupt journal line")
+                validate_queue_entry(entry)
+                entries.append(entry)
+        return entries
+
     def _scan(self) -> int:
         """Highest persisted seq (0 for a fresh journal)."""
-        if not self.path.exists():
-            return 0
         last = 0
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise QueueSchemaError(
-                    f"{self.path}: corrupt journal line: {exc}") from exc
-            validate_queue_entry(entry)
+        for entry in self._read():
             if entry["seq"] <= last:
                 raise QueueSchemaError(
                     f"{self.path}: seq {entry['seq']} not ascending")
@@ -234,15 +199,7 @@ class FileJournalStore(JournalStoreBase):
         yield  # pragma: no cover - generator shape, parity with repo store
 
     def replay(self):
-        entries = []
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                validate_queue_entry(entry)
-                entries.append(entry)
-        return entries
+        return self._read()
         yield  # pragma: no cover - generator shape, parity with repo store
 
 
@@ -354,7 +311,9 @@ class RepositoryJournalStore(JournalStoreBase):
         yield from self.transport.transfer(
             replica["host"], self.host, self.repo_store.get(name),
             self.staging, dst_name=local_name)
-        entry = json.loads(self.staging.get(local_name).rows[0][1])
+        rows = self.staging.get(local_name).rows
+        entry = parse_json(rows[0][1] if rows else "", QueueSchemaError,
+                           f"{name}: corrupt journal entry")
         validate_queue_entry(entry)
         if entry["seq"] != seq:
             raise ProtocolError(

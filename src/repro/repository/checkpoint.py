@@ -8,12 +8,11 @@ committed :class:`~repro.coordinator.records.StepRecord`\\ s since the
 previous checkpoint, and a restarted coordinator reconstructs the full
 history by merging every sequence.
 
-The document is a hand-rolled, versioned schema (``repro.checkpoint/v1``),
-validated the same way the telemetry and analysis schemas are: ~100 lines
-of standard-library checking with JSON-path error messages, run on every
-save *and* every load so a malformed checkpoint fails immediately instead
-of corrupting a resume.  All float payloads are ``float.hex()`` strings —
-checkpoint → restore round-trips are bit-exact.
+The document is a versioned schema (``repro.checkpoint/v1``), checked
+with the shared JSON-path primitives of :mod:`repro.util.schema` on
+every save *and* every load so a malformed checkpoint fails immediately
+instead of corrupting a resume.  All float payloads are ``float.hex()``
+strings — checkpoint → restore round-trips are bit-exact.
 
 Two stores share one API (generator-shaped ``save`` / ``load`` /
 ``list_seqs`` so callers uniformly ``yield from`` them):
@@ -29,7 +28,9 @@ Two stores share one API (generator-shaped ``save`` / ``load`` /
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,6 +39,24 @@ from repro.net.rpc import RpcClient, RpcError
 from repro.ogsi.handle import GridServiceHandle
 from repro.repository.transport import Transport
 from repro.util.errors import ConfigurationError, ReproError
+from repro.util.schema import (
+    SchemaError,
+    array_of,
+    count,
+    envelope,
+    fail,
+    fields,
+    mapping,
+    number,
+    object_of,
+    one_of,
+    parse_json,
+    positive,
+    positive_int,
+    raises,
+    require,
+    string,
+)
 
 SCHEMA_ID = "repro.checkpoint/v1"
 MANIFEST_SCHEMA_ID = "repro.checkpoint-manifest/v1"
@@ -48,11 +67,9 @@ _REASONS = ("policy", "abort", "final")
 _PHASES = ("idle", "integrate", "propose", "execute", "commit")
 
 _STATE_INT_KEYS = ("target_steps", "step", "generation", "checkpoint_seq")
-_RECORD_KEYS = ("step", "model_time", "displacement", "restoring_force",
-                "site_forces", "attempts", "wall_started", "wall_finished")
 
 
-class CheckpointSchemaError(ReproError):
+class CheckpointSchemaError(SchemaError):
     """A checkpoint document does not match ``repro.checkpoint/v1``."""
 
 
@@ -75,150 +92,95 @@ class CheckpointCorrupt(CheckpointSchemaError):
 def _parse_checkpoint(text: str, *, run_id: str, seq: int,
                       origin: str) -> dict:
     """Parse + validate one persisted document, or raise CheckpointCorrupt."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointCorrupt(
-            f"{origin}: truncated or non-JSON checkpoint: {exc}",
-            run_id=run_id, seq=seq) from exc
+    corrupt = functools.partial(CheckpointCorrupt, run_id=run_id, seq=seq)
+    doc = parse_json(text, corrupt,
+                     f"{origin}: truncated or non-JSON checkpoint")
     try:
         validate_checkpoint_payload(doc)
     except CheckpointSchemaError as exc:
-        raise CheckpointCorrupt(
-            f"{origin}: schema-invalid checkpoint: {exc}",
-            run_id=run_id, seq=seq) from exc
+        raise corrupt(f"{origin}: schema-invalid checkpoint: {exc}") from exc
     return doc
 
 
-def _fail(path: str, message: str) -> None:
-    raise CheckpointSchemaError(f"{path}: {message}")
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
-
-
-def _check_int(value: Any, path: str, minimum: int = 0) -> None:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {type(value).__name__}")
-    _require(value >= minimum, path, f"must be >= {minimum}, got {value}")
-
-
-def _check_hex_float(value: Any, path: str) -> None:
-    _require(isinstance(value, str), path,
-             f"expected a hex float string, got {type(value).__name__}")
+def _hex_float(value: Any, path: str) -> None:
+    if not isinstance(value, str):
+        fail(path, f"expected a hex float string, got {type(value).__name__}")
     try:
         float.fromhex(value)
-    except ValueError:
-        _fail(path, f"not a hex float: {value!r}")
+    except (ValueError, OverflowError):
+        fail(path, f"not a hex float: {value!r}")
 
 
-def _check_hex_vector(values: Any, path: str) -> None:
-    _require(isinstance(values, list), path, "expected a list of hex floats")
-    for i, value in enumerate(values):
-        _check_hex_float(value, f"{path}[{i}]")
+_hex_vector = functools.partial(array_of, check=_hex_float)
 
 
-def _check_hex_array(values: Any, path: str) -> None:
+def _hex_array(values: Any, path: str) -> None:
     """A float array payload: a flat hex list (1-D, the historical form)
     or a shape-tagged object (``{"shape": [...], "data": [...]}``) for an
     ensemble's higher-rank state."""
-    if isinstance(values, dict):
-        shape = values.get("shape")
-        _require(isinstance(shape, list) and shape
-                 and all(isinstance(s, int) and not isinstance(s, bool)
-                         and s >= 1 for s in shape),
-                 f"{path}.shape", "must be a list of positive integers")
-        _check_hex_vector(values.get("data"), f"{path}.data")
-        expected = 1
-        for s in shape:
-            expected *= s
-        _require(len(values["data"]) == expected, f"{path}.data",
-                 f"expected {expected} values for shape {shape}, "
-                 f"got {len(values['data'])}")
+    if not isinstance(values, dict):
+        _hex_vector(values, path)
         return
-    _check_hex_vector(values, path)
+    shape = array_of(values.get("shape"), f"{path}.shape", positive_int,
+                     nonempty=True)
+    data = _hex_vector(values.get("data"), f"{path}.data")
+    expected = math.prod(shape)
+    require(len(data) == expected, f"{path}.data",
+            f"expected {expected} values for shape {shape}, got {len(data)}")
 
 
+#: a site -> transaction-name map (pending or speculative proposals)
+_transactions = functools.partial(object_of, check=string)
+
+
+_INTEGRATOR = {"kind": string, "step_index": count,
+               "arrays": functools.partial(object_of, check=_hex_array,
+                                           nonempty=True)}
+
+
+@raises(CheckpointSchemaError)
 def validate_state_payload(state: Any, path: str = "$.state") -> None:
     """The serialized :class:`~repro.coordinator.state.ExperimentState`."""
-    _require(isinstance(state, dict), path, "state must be an object")
-    _require(isinstance(state.get("run_id"), str) and state.get("run_id"),
-             f"{path}.run_id", "must be a non-empty string")
+    mapping(state, path)
+    string(state.get("run_id"), f"{path}.run_id")
     for key in _STATE_INT_KEYS:
-        _check_int(state.get(key), f"{path}.{key}")
-    _require(state.get("target_steps", 0) >= 1, f"{path}.target_steps",
-             "must be >= 1")
-    _check_number(state.get("dt"), f"{path}.dt")
-    _require(state["dt"] > 0, f"{path}.dt", "must be positive")
-    _check_number(state.get("wall_started"), f"{path}.wall_started")
-    _require(state.get("phase") in _PHASES, f"{path}.phase",
-             f"must be one of {_PHASES}, got {state.get('phase')!r}")
-    pending = state.get("pending")
-    _require(isinstance(pending, dict), f"{path}.pending",
-             "pending must be an object")
-    for site, txn in pending.items():
-        _require(isinstance(site, str) and isinstance(txn, str) and txn,
-                 f"{path}.pending.{site}",
-                 "must map site names to transaction names")
-    speculative = state.get("speculative")
-    if speculative is not None:
-        _require(isinstance(speculative, dict), f"{path}.speculative",
-                 "speculative must be an object")
-        for site, txn in speculative.items():
-            _require(isinstance(site, str) and isinstance(txn, str) and txn,
-                     f"{path}.speculative.{site}",
-                     "must map site names to transaction names")
-        _check_int(state.get("speculative_step"),
-                   f"{path}.speculative_step")
-    integrator = state.get("integrator")
-    if integrator is not None:
-        ipath = f"{path}.integrator"
-        _require(isinstance(integrator, dict), ipath,
-                 "integrator must be an object or null")
-        _require(isinstance(integrator.get("kind"), str)
-                 and integrator.get("kind"),
-                 f"{ipath}.kind", "must be a non-empty string")
-        _check_int(integrator.get("step_index"), f"{ipath}.step_index")
-        arrays = integrator.get("arrays")
-        _require(isinstance(arrays, dict) and arrays, f"{ipath}.arrays",
-                 "must be a non-empty object")
-        for name, vec in arrays.items():
-            _check_hex_array(vec, f"{ipath}.arrays.{name}")
+        count(state.get(key), f"{path}.{key}")
+    require(state["target_steps"] >= 1, f"{path}.target_steps",
+            "must be >= 1")
+    positive(state.get("dt"), f"{path}.dt")
+    number(state.get("wall_started"), f"{path}.wall_started")
+    one_of(state.get("phase"), f"{path}.phase", _PHASES)
+    _transactions(state.get("pending"), f"{path}.pending")
+    if state.get("speculative") is not None:
+        _transactions(state["speculative"], f"{path}.speculative")
+        count(state.get("speculative_step"), f"{path}.speculative_step")
+    if state.get("integrator") is not None:
+        fields(state["integrator"], f"{path}.integrator", _INTEGRATOR)
 
 
+def _site_force(value: Any, path: str) -> None:
+    if isinstance(value, list):
+        _hex_vector(value, path)  # ensemble batch: one force per variant
+    else:
+        _hex_float(value, path)
+
+
+_RECORD = {"step": positive_int, "attempts": positive_int,
+           "model_time": number, "wall_started": number,
+           "wall_finished": number, "displacement": _hex_array,
+           "restoring_force": _hex_array,
+           "site_forces": functools.partial(
+               object_of, check=functools.partial(object_of,
+                                                  check=_site_force))}
+
+
+@raises(CheckpointSchemaError)
 def validate_record_payload(record: Any, path: str = "record") -> None:
     """One serialized :class:`~repro.coordinator.records.StepRecord`."""
-    _require(isinstance(record, dict), path, "record must be an object")
-    for key in _RECORD_KEYS:
-        _require(key in record, f"{path}.{key}", "missing")
-    _check_int(record["step"], f"{path}.step", minimum=1)
-    _check_int(record["attempts"], f"{path}.attempts", minimum=1)
-    for key in ("model_time", "wall_started", "wall_finished"):
-        _check_number(record[key], f"{path}.{key}")
-    for key in ("displacement", "restoring_force"):
-        _check_hex_array(record[key], f"{path}.{key}")
-    forces = record["site_forces"]
-    _require(isinstance(forces, dict), f"{path}.site_forces",
-             "must be an object")
-    for site, per_dof in forces.items():
-        _require(isinstance(per_dof, dict), f"{path}.site_forces.{site}",
-                 "must be an object")
-        for dof, value in per_dof.items():
-            fpath = f"{path}.site_forces.{site}.{dof}"
-            if isinstance(value, list):
-                # ensemble batch: one force per scenario variant
-                _check_hex_vector(value, fpath)
-            else:
-                _check_hex_float(value, fpath)
+    fields(record, path, _RECORD)
 
 
+@raises(CheckpointSchemaError)
 def validate_checkpoint_payload(payload: Any) -> None:
     """A full checkpoint document.
 
@@ -228,24 +190,18 @@ def validate_checkpoint_payload(payload: Any) -> None:
          "wall_time": 12.3, "reason": "policy" | "abort" | "final",
          "state": {...}, "records": [...]}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(isinstance(payload.get("run_id"), str) and payload.get("run_id"),
-             "$.run_id", "must be a non-empty string")
-    _check_int(payload.get("seq"), "$.seq", minimum=1)
-    _check_number(payload.get("wall_time"), "$.wall_time")
-    _require(payload.get("reason") in _REASONS, "$.reason",
-             f"must be one of {_REASONS}, got {payload.get('reason')!r}")
+    envelope(payload, SCHEMA_ID)
+    string(payload.get("run_id"), "$.run_id")
+    positive_int(payload.get("seq"), "$.seq")
+    number(payload.get("wall_time"), "$.wall_time")
+    one_of(payload.get("reason"), "$.reason", _REASONS)
     validate_state_payload(payload.get("state"))
-    records = payload.get("records")
-    _require(isinstance(records, list), "$.records", "records must be a list")
-    for i, record in enumerate(records):
-        validate_record_payload(record, f"$.records[{i}]")
-    _require(payload["state"].get("run_id") == payload["run_id"],
-             "$.state.run_id", "must match the document run_id")
+    array_of(payload.get("records"), "$.records", _RECORD)
+    require(payload["state"]["run_id"] == payload["run_id"],
+            "$.state.run_id", "must match the document run_id")
 
 
+@raises(CheckpointSchemaError)
 def validate_manifest_payload(payload: Any) -> None:
     """A checkpoint manifest document.
 
@@ -259,37 +215,25 @@ def validate_manifest_payload(payload: Any) -> None:
     sequence in ``seqs`` — what :meth:`CheckpointStoreBase.load_history`
     would otherwise recompute by refetching each document.
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == MANIFEST_SCHEMA_ID, "$.schema",
-             f"expected {MANIFEST_SCHEMA_ID!r}, "
-             f"got {payload.get('schema')!r}")
-    _require(isinstance(payload.get("run_id"), str) and payload.get("run_id"),
-             "$.run_id", "must be a non-empty string")
-    _check_int(payload.get("seq"), "$.seq", minimum=1)
-    seqs = payload.get("seqs")
-    _require(isinstance(seqs, list) and seqs, "$.seqs",
-             "must be a non-empty list")
-    for i, seq in enumerate(seqs):
-        _check_int(seq, f"$.seqs[{i}]", minimum=1)
-        if i:
-            _require(seq > seqs[i - 1], f"$.seqs[{i}]",
-                     "must be strictly ascending")
-    _require(seqs[-1] == payload["seq"], "$.seq",
-             "must equal the highest entry of seqs")
+    envelope(payload, MANIFEST_SCHEMA_ID)
+    string(payload.get("run_id"), "$.run_id")
+    positive_int(payload.get("seq"), "$.seq")
+    seqs = array_of(payload.get("seqs"), "$.seqs", positive_int,
+                    nonempty=True)
+    for i in range(1, len(seqs)):
+        require(seqs[i] > seqs[i - 1], f"$.seqs[{i}]",
+                "must be strictly ascending")
+    require(seqs[-1] == payload["seq"], "$.seq",
+            "must equal the highest entry of seqs")
     validate_checkpoint_payload(payload.get("latest"))
-    _require(payload["latest"]["run_id"] == payload["run_id"],
-             "$.latest.run_id", "must match the manifest run_id")
-    _require(payload["latest"]["seq"] == payload["seq"],
-             "$.latest.seq", "must match the manifest seq")
-    records = payload.get("records")
-    _require(isinstance(records, list), "$.records",
-             "records must be a list")
-    last_step = 0
-    for i, record in enumerate(records):
-        validate_record_payload(record, f"$.records[{i}]")
-        _require(record["step"] > last_step, f"$.records[{i}].step",
-                 "must be strictly ascending")
-        last_step = record["step"]
+    require(payload["latest"]["run_id"] == payload["run_id"],
+            "$.latest.run_id", "must match the manifest run_id")
+    require(payload["latest"]["seq"] == payload["seq"],
+            "$.latest.seq", "must match the manifest seq")
+    records = array_of(payload.get("records"), "$.records", _RECORD)
+    for i in range(1, len(records)):
+        require(records[i]["step"] > records[i - 1]["step"],
+                f"$.records[{i}].step", "must be strictly ascending")
 
 
 def build_checkpoint_doc(*, run_id: str, seq: int, wall_time: float,
@@ -637,9 +581,11 @@ class RepositoryCheckpointStore(CheckpointStoreBase):
                 self.staging, dst_name=local_name)
             rows = self.staging.get(local_name).rows
             try:
-                manifest = json.loads(rows[0][1] if rows else "")
+                manifest = parse_json(
+                    rows[0][1] if rows else "", CheckpointSchemaError,
+                    f"{name}: truncated or non-JSON manifest")
                 validate_manifest_payload(manifest)
-            except (json.JSONDecodeError, CheckpointSchemaError) as exc:
+            except CheckpointSchemaError as exc:
                 self.kernel.emit("repository.checkpoint", "manifest.corrupt",
                                  run_id=run_id, seq=seq, error=str(exc))
                 continue

@@ -23,6 +23,7 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.schema import SCHEMA_ID, validate_metrics_payload
 from repro.telemetry.spans import Span, TraceContext, Tracer
+from repro.util.schema import SchemaError, mapping, parse_json
 
 
 class InMemorySink:
@@ -187,14 +188,19 @@ class TelemetryHub:
 
     @staticmethod
     def load_jsonl(path: str | pathlib.Path) -> dict[str, Any]:
-        """Parse an export back into ``{"meta", "metrics", "spans"}``."""
+        """Parse an export back into ``{"meta", "metrics", "spans"}``.
+
+        Raises :class:`SchemaError` for a line that is not a JSON object.
+        """
         meta: dict[str, Any] = {}
         metrics: list[dict[str, Any]] = []
         spans: list[dict[str, Any]] = []
-        for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines():
+        lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            where = f"{path}:{lineno}"
+            record = mapping(parse_json(line, SchemaError, where), where)
             kind = record.pop("kind", None)
             if kind == "meta":
                 meta = record

@@ -29,6 +29,8 @@ import pathlib
 import sys
 from typing import Any
 
+from repro.util.schema import SchemaError
+
 STEP_SPAN = "coordinator.step"
 PHASES = ("integrate", "propose", "execute", "commit", "retry_wait",
           "propose_execute")
@@ -180,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(report_from_jsonl(path))
         except BrokenPipeError:  # e.g. piped into head
             return 0
-        except (ValueError, KeyError) as exc:  # malformed trace file
+        except (SchemaError, ValueError, KeyError) as exc:  # malformed trace
             print(f"error: not a telemetry trace: {path} ({exc})",
                   file=sys.stderr)
             return 1

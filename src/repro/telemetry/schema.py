@@ -1,11 +1,10 @@
 """Schema validation for exported telemetry documents.
 
-Hand-rolled on purpose: the validator is ~100 lines, has no dependency
-beyond the standard library, and produces errors with a JSON-path to the
-offending field.  Benchmarks and the CI smoke target validate every
-metrics document they emit through :func:`validate_metrics_payload`, so a
-malformed export fails the run instead of silently rotting in
-``benchmarks/out/``.
+Built on the shared schema layer (:mod:`repro.util.schema`), so every
+error carries a JSON path to the offending field.  Benchmarks and the CI
+smoke target validate every metrics document they emit through
+:func:`validate_metrics_payload`, so a malformed export fails the run
+instead of silently rotting in ``benchmarks/out/``.
 
 Conventions enforced:
 
@@ -13,89 +12,97 @@ Conventions enforced:
 * counters/gauges carry a numeric ``value``; histograms carry a
   ``summary`` with exact-percentile fields;
 * spans are closed (``end >= start``) and id-complete.
+
+:class:`SchemaError` here is the root of every document error in the
+program; the other document families' errors subclass it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
-from repro.util.errors import ReproError
+from repro.util.schema import (
+    SchemaError,  # noqa: F401  (re-exported: the root document error)
+    array,
+    array_of,
+    boolean,
+    count,
+    envelope,
+    fail,
+    fields,
+    integer,
+    is_number,
+    labels,
+    mapping,
+    non_negative,
+    nullable,
+    number,
+    object_of,
+    one_of,
+    positive,
+    positive_int,
+    present,
+    require,
+    string,
+    text,
+)
 
 SCHEMA_ID = "repro.telemetry/v1"
 
-_METRIC_TYPES = ("counter", "gauge", "histogram")
-_SUMMARY_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p90", "p99")
-_SPAN_KEYS = ("name", "trace_id", "span_id", "parent_id", "start", "end",
-              "duration", "attrs")
+METRIC_TYPES = ("counter", "gauge", "histogram")
+#: the exporter's histogram summary; streamed samples carry p95 instead
+#: of p90 (see :mod:`repro.monitor.schema`)
+SUMMARY_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p90", "p99")
 
-
-class SchemaError(ReproError):
-    """A telemetry document does not match the expected shape."""
-
-
-def _fail(path: str, message: str) -> None:
-    raise SchemaError(f"{path}: {message}")
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_number(value: Any, path: str) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {type(value).__name__}")
+_SPAN = {"name": string, "trace_id": string, "span_id": string,
+         "parent_id": nullable(text), "start": number, "end": number,
+         "duration": present, "attrs": mapping}
 
 
 def validate_metric_name(name: Any, path: str = "name") -> None:
     """Enforce the ``layer.component.name`` naming convention."""
-    _require(isinstance(name, str), path, "metric name must be a string")
+    require(isinstance(name, str), path, "metric name must be a string")
     parts = name.split(".")
-    _require(len(parts) >= 3 and all(parts), path,
-             f"metric name {name!r} must be dotted layer.component.name")
+    if len(parts) < 3 or not all(parts):
+        fail(path, f"metric name {name!r} must be dotted layer.component.name")
 
 
-def validate_metric_record(record: Any, path: str = "metric") -> None:
-    """One entry of a ``metrics`` list."""
-    _require(isinstance(record, dict), path, "metric record must be an object")
+def validate_metric_record(record: Any, path: str = "metric",
+                           summary_keys: tuple = SUMMARY_KEYS) -> None:
+    """One entry of a ``metrics`` list.
+
+    ``summary_keys`` are the statistics a histogram summary must carry.
+    The checks are spelled out rather than table-driven: every streamed
+    metrics sample runs this once per record.
+    """
+    if not isinstance(record, dict):
+        fail(path, "metric record must be an object")
     validate_metric_name(record.get("name"), f"{path}.name")
     mtype = record.get("type")
-    _require(mtype in _METRIC_TYPES, f"{path}.type",
-             f"metric type must be one of {_METRIC_TYPES}, got {mtype!r}")
-    labels = record.get("labels", {})
-    _require(isinstance(labels, dict), f"{path}.labels", "labels must be an object")
-    for key, value in labels.items():
-        _require(isinstance(key, str) and isinstance(value, str),
-                 f"{path}.labels.{key}", "labels must map strings to strings")
+    if mtype not in METRIC_TYPES:
+        fail(f"{path}.type",
+             f"metric type must be one of {METRIC_TYPES}, got {mtype!r}")
+    labels(record.get("labels", {}), f"{path}.labels")
     if mtype == "histogram":
         summary = record.get("summary")
-        _require(isinstance(summary, dict), f"{path}.summary",
-                 "histogram requires a summary object")
-        for key in _SUMMARY_KEYS:
-            _require(key in summary, f"{path}.summary.{key}", "missing")
-            _check_number(summary[key], f"{path}.summary.{key}")
-    else:
-        _require("value" in record, f"{path}.value",
-                 f"{mtype} requires a value")
-        _check_number(record["value"], f"{path}.value")
+        if not isinstance(summary, dict):
+            fail(f"{path}.summary", "histogram requires a summary object")
+        for key in summary_keys:
+            if not is_number(summary.get(key)):
+                require(key in summary, f"{path}.summary.{key}", "missing")
+                number(summary[key], f"{path}.summary.{key}")
+    elif not is_number(record.get("value")):
+        require("value" in record, f"{path}.value",
+                f"{mtype} requires a value")
+        number(record["value"], f"{path}.value")
 
 
 def validate_span_record(record: Any, path: str = "span") -> None:
     """One span record (from ``Span.to_dict`` or a JSONL line)."""
-    _require(isinstance(record, dict), path, "span record must be an object")
-    for key in _SPAN_KEYS:
-        _require(key in record, f"{path}.{key}", "missing")
-    for key in ("name", "trace_id", "span_id"):
-        _require(isinstance(record[key], str) and record[key],
-                 f"{path}.{key}", "must be a non-empty string")
-    _require(record["parent_id"] is None or isinstance(record["parent_id"], str),
-             f"{path}.parent_id", "must be a string or null")
-    _check_number(record["start"], f"{path}.start")
-    _check_number(record["end"], f"{path}.end")
-    _require(record["end"] >= record["start"], f"{path}.end",
-             "span must close at or after its start")
-    _require(isinstance(record["attrs"], dict), f"{path}.attrs",
-             "attrs must be an object")
+    fields(record, path, _SPAN)
+    require(record["end"] >= record["start"], f"{path}.end",
+            "span must close at or after its start")
 
 
 def validate_metrics_payload(payload: Any) -> None:
@@ -106,31 +113,27 @@ def validate_metrics_payload(payload: Any) -> None:
         {"schema": "repro.telemetry/v1", "experiment": "...",
          "metrics": [...], "spans": [...]?}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    experiment = payload.get("experiment")
-    _require(isinstance(experiment, str) and experiment, "$.experiment",
-             "experiment must be a non-empty string")
-    metrics = payload.get("metrics")
-    _require(isinstance(metrics, list), "$.metrics", "metrics must be a list")
-    for i, record in enumerate(metrics):
-        validate_metric_record(record, f"$.metrics[{i}]")
+    envelope(payload, SCHEMA_ID)
+    string(payload.get("experiment"), "$.experiment")
+    array_of(payload.get("metrics"), "$.metrics", validate_metric_record)
     if "spans" in payload:
-        spans = payload["spans"]
-        _require(isinstance(spans, list), "$.spans", "spans must be a list")
-        for i, record in enumerate(spans):
-            validate_span_record(record, f"$.spans[{i}]")
+        array_of(payload["spans"], "$.spans", validate_span_record)
 
 
-def validate_jsonl_export(loaded: dict[str, Any]) -> None:
+def validate_jsonl_export(loaded: Any) -> None:
     """Validate the dict returned by :meth:`TelemetryHub.load_jsonl`."""
-    _require(loaded.get("meta", {}).get("schema") == SCHEMA_ID, "$.meta.schema",
-             f"expected {SCHEMA_ID!r}")
-    for i, record in enumerate(loaded.get("metrics", [])):
-        validate_metric_record(record, f"$.metrics[{i}]")
-    for i, record in enumerate(loaded.get("spans", [])):
-        validate_span_record(record, f"$.spans[{i}]")
+    mapping(loaded, "$")
+    meta = mapping(loaded.get("meta", {}), "$.meta")
+    require(meta.get("schema") == SCHEMA_ID, "$.meta.schema",
+            f"expected {SCHEMA_ID!r}")
+    array_of(loaded.get("metrics", []), "$.metrics", validate_metric_record)
+    array_of(loaded.get("spans", []), "$.spans", validate_span_record)
+
+
+_phases = functools.partial(object_of, check=number)
+_STEP_ROW = {"step": integer, "run_id": text, "total": number,
+             "phases": _phases}
+_STEP_MEANS = {"total": number, "phases": _phases}
 
 
 def validate_step_report_payload(payload: Any) -> None:
@@ -144,39 +147,14 @@ def validate_step_report_payload(payload: Any) -> None:
                    "phases": {"propose": 0.1, ...}}, ...],
          "means": {"total": 0.2, "phases": {"propose": 0.09, ...}}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == SCHEMA_ID, "$.schema",
-             f"expected {SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("kind") == "step_report", "$.kind",
-             f"expected 'step_report', got {payload.get('kind')!r}")
-    experiment = payload.get("experiment")
-    _require(isinstance(experiment, str) and experiment, "$.experiment",
-             "experiment must be a non-empty string")
-    rows = payload.get("rows")
-    _require(isinstance(rows, list), "$.rows", "rows must be a list")
-    _require(payload.get("count") == len(rows), "$.count",
-             "count must equal len(rows)")
+    envelope(payload, SCHEMA_ID, "step_report")
+    string(payload.get("experiment"), "$.experiment")
+    rows = array(payload.get("rows"), "$.rows")
+    require(payload.get("count") == len(rows), "$.count",
+            "count must equal len(rows)")
     for i, row in enumerate(rows):
-        path = f"$.rows[{i}]"
-        _require(isinstance(row, dict), path, "row must be an object")
-        _require(isinstance(row.get("step"), int)
-                 and not isinstance(row.get("step"), bool),
-                 f"{path}.step", "step must be an integer")
-        _require(isinstance(row.get("run_id"), str), f"{path}.run_id",
-                 "run_id must be a string")
-        _check_number(row.get("total"), f"{path}.total")
-        phases = row.get("phases")
-        _require(isinstance(phases, dict), f"{path}.phases",
-                 "phases must be an object")
-        for phase, duration in phases.items():
-            _check_number(duration, f"{path}.phases.{phase}")
-    means = payload.get("means")
-    _require(isinstance(means, dict), "$.means", "means must be an object")
-    _check_number(means.get("total"), "$.means.total")
-    _require(isinstance(means.get("phases"), dict), "$.means.phases",
-             "means.phases must be an object")
-    for phase, duration in means["phases"].items():
-        _check_number(duration, f"$.means.phases.{phase}")
+        fields(row, f"$.rows[{i}]", _STEP_ROW)
+    fields(payload.get("means"), "$.means", _STEP_MEANS)
 
 
 # ---------------------------------------------------------------------------
@@ -187,49 +165,42 @@ BENCH_SCHEMA_ID = "repro.bench/v1"
 
 #: every stepping mode must report these (all in *simulated* seconds, so
 #: the committed document is deterministic run-to-run).
-_BENCH_MODE_KEYS = ("steps", "variants", "wall_time", "median_step_latency",
-                    "aggregate_steps_per_s", "aggregate_variant_steps_per_s")
+_BENCH_MODE = {"steps": positive_int, "variants": positive_int,
+               "wall_time": positive, "median_step_latency": positive,
+               "aggregate_steps_per_s": positive,
+               "aggregate_variant_steps_per_s": positive}
+
+
+def _ratio(value: Any, path: str) -> None:
+    require(number(value, path) >= 1.0, path, "ratios are >= 1")
+
+
+def _bench_document(payload: Any, experiment: str | None,
+                    spec: dict) -> None:
+    """Envelope, experiment name and the sections a bench document has."""
+    envelope(payload, BENCH_SCHEMA_ID)
+    if experiment is None:
+        string(payload.get("experiment"), "$.experiment")
+    else:
+        require(payload.get("experiment") == experiment, "$.experiment",
+                f"expected {experiment!r}, got "
+                f"{payload.get('experiment')!r}")
+    fields(payload, "$", spec)
 
 
 def validate_bench_mode(record: Any, path: str = "mode") -> None:
     """One stepping-mode record of a benchmark comparison document."""
-    _require(isinstance(record, dict), path, "mode record must be an object")
-    for key in _BENCH_MODE_KEYS:
-        _require(key in record, f"{path}.{key}", "missing")
-        _check_number(record[key], f"{path}.{key}")
-    for key in ("steps", "variants"):
-        _require(isinstance(record[key], int) and record[key] >= 1,
-                 f"{path}.{key}", "must be a positive integer")
-    for key in ("wall_time", "median_step_latency", "aggregate_steps_per_s",
-                "aggregate_variant_steps_per_s"):
-        _require(record[key] > 0, f"{path}.{key}", "must be positive")
+    fields(record, path, _BENCH_MODE)
 
 
-def validate_bench_payload(payload: Any) -> None:
-    """A benchmark comparison document (repo-root ``BENCH_*.json``).
-
-    Dispatches on ``$.experiment``: ``"tfleet"`` documents follow the
-    fleet shape (:func:`validate_fleet_bench_payload`), ``"tobs"``
-    documents the observatory shape (:func:`validate_obs_bench_payload`),
-    ``"tqueue"`` documents the durable-queue shape
-    (:func:`validate_queue_bench_payload`); everything else follows the
-    stepping-mode comparison shape
-    (:func:`validate_stepping_bench_payload`).
-    """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    experiment = payload.get("experiment")
-    _require(isinstance(experiment, str) and experiment, "$.experiment",
-             "experiment must be a non-empty string")
-    if experiment == "tfleet":
-        validate_fleet_bench_payload(payload)
-    elif experiment == "tobs":
-        validate_obs_bench_payload(payload)
-    elif experiment == "tqueue":
-        validate_queue_bench_payload(payload)
-    else:
-        validate_stepping_bench_payload(payload)
+_STEPPING_BENCH = {
+    "config": {"n_steps": positive_int, "n_variants": positive_int},
+    "modes": {name: _BENCH_MODE
+              for name in ("sequential", "pipelined", "ensemble")},
+    "speedups": {"pipelined_aggregate_steps_per_s": number,
+                 "ensemble_aggregate_variant_steps_per_s": number},
+    "bit_exact": {"pipelined": boolean, "ensemble_base_variant": boolean},
+}
 
 
 def validate_stepping_bench_payload(payload: Any) -> None:
@@ -245,35 +216,21 @@ def validate_stepping_bench_payload(payload: Any) -> None:
                       "ensemble_aggregate_variant_steps_per_s": float},
          "bit_exact": {"pipelined": bool, "ensemble_base_variant": bool}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    experiment = payload.get("experiment")
-    _require(isinstance(experiment, str) and experiment, "$.experiment",
-             "experiment must be a non-empty string")
-    config = payload.get("config")
-    _require(isinstance(config, dict), "$.config", "config must be an object")
-    for key in ("n_steps", "n_variants"):
-        _require(isinstance(config.get(key), int) and config[key] >= 1,
-                 f"$.config.{key}", "must be a positive integer")
-    modes = payload.get("modes")
-    _require(isinstance(modes, dict), "$.modes", "modes must be an object")
-    for name in ("sequential", "pipelined", "ensemble"):
-        _require(name in modes, f"$.modes.{name}", "missing")
-        validate_bench_mode(modes[name], f"$.modes.{name}")
-    speedups = payload.get("speedups")
-    _require(isinstance(speedups, dict), "$.speedups",
-             "speedups must be an object")
-    for key in ("pipelined_aggregate_steps_per_s",
-                "ensemble_aggregate_variant_steps_per_s"):
-        _require(key in speedups, f"$.speedups.{key}", "missing")
-        _check_number(speedups[key], f"$.speedups.{key}")
-    bit_exact = payload.get("bit_exact")
-    _require(isinstance(bit_exact, dict), "$.bit_exact",
-             "bit_exact must be an object")
-    for key in ("pipelined", "ensemble_base_variant"):
-        _require(isinstance(bit_exact.get(key), bool), f"$.bit_exact.{key}",
-                 "must be a boolean")
+    _bench_document(payload, None, _STEPPING_BENCH)
+
+
+_OBS_BENCH = {
+    "config": {"n_steps": positive_int, "slo_interval": number},
+    "overhead": {"median_step_off": positive, "median_step_on": positive,
+                 "bound": positive, "overhead_fraction": number,
+                 "within_bound": boolean},
+    "rollups": {"series_checked": positive_int, "consistent": boolean},
+    "determinism": {"query_identical": boolean,
+                    "postmortem_identical": boolean},
+    "flight": {"aborted_step": count, "faulted_site": string,
+               "snapshot_events": positive_int,
+               "timeline_names_site_and_step": boolean},
+}
 
 
 def validate_obs_bench_payload(payload: Any) -> None:
@@ -293,61 +250,28 @@ def validate_obs_bench_payload(payload: Any) -> None:
                     "snapshot_events": int,
                     "timeline_names_site_and_step": bool}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("experiment") == "tobs", "$.experiment",
-             "observatory bench documents use experiment 'tobs'")
-    config = payload.get("config")
-    _require(isinstance(config, dict), "$.config", "config must be an object")
-    _require(isinstance(config.get("n_steps"), int)
-             and config["n_steps"] >= 1,
-             "$.config.n_steps", "must be a positive integer")
-    _check_number(config.get("slo_interval"), "$.config.slo_interval")
-    overhead = payload.get("overhead")
-    _require(isinstance(overhead, dict), "$.overhead",
-             "overhead must be an object")
-    for key in ("median_step_off", "median_step_on", "bound"):
-        _require(key in overhead, f"$.overhead.{key}", "missing")
-        _check_number(overhead[key], f"$.overhead.{key}")
-        _require(overhead[key] > 0, f"$.overhead.{key}", "must be positive")
-    _check_number(overhead.get("overhead_fraction"),
-                  "$.overhead.overhead_fraction")
-    _require(isinstance(overhead.get("within_bound"), bool),
-             "$.overhead.within_bound", "must be a boolean")
-    rollups = payload.get("rollups")
-    _require(isinstance(rollups, dict), "$.rollups",
-             "rollups must be an object")
-    _require(isinstance(rollups.get("series_checked"), int)
-             and rollups["series_checked"] >= 1,
-             "$.rollups.series_checked", "must be a positive integer")
-    _require(isinstance(rollups.get("consistent"), bool),
-             "$.rollups.consistent", "must be a boolean")
-    determinism = payload.get("determinism")
-    _require(isinstance(determinism, dict), "$.determinism",
-             "determinism must be an object")
-    for key in ("query_identical", "postmortem_identical"):
-        _require(isinstance(determinism.get(key), bool),
-                 f"$.determinism.{key}", "must be a boolean")
-    flight = payload.get("flight")
-    _require(isinstance(flight, dict), "$.flight",
-             "flight must be an object")
-    _require(isinstance(flight.get("aborted_step"), int)
-             and flight["aborted_step"] >= 0,
-             "$.flight.aborted_step", "must be a non-negative integer")
-    _require(isinstance(flight.get("faulted_site"), str)
-             and flight["faulted_site"],
-             "$.flight.faulted_site", "must be a non-empty string")
-    _require(isinstance(flight.get("snapshot_events"), int)
-             and flight["snapshot_events"] >= 1,
-             "$.flight.snapshot_events", "must be a positive integer")
-    _require(isinstance(flight.get("timeline_names_site_and_step"), bool),
-             "$.flight.timeline_names_site_and_step", "must be a boolean")
+    _bench_document(payload, "tobs", _OBS_BENCH)
 
 
-#: per-tenant record keys in a fleet bench document
-_FLEET_TENANT_KEYS = ("runs", "steps", "completion_time", "lease_wait_max",
-                      "duplicate_executes")
+_FLEET_TENANT = {"runs": positive_int, "steps": positive_int,
+                 "completion_time": number, "lease_wait_max": number,
+                 "duplicate_executes": count}
+
+
+_FLEET_BENCH = {
+    "config": {key: positive_int
+               for key in ("n_sites", "n_tenants", "runs_per_tenant",
+                           "n_experiments", "n_steps", "sites_per_lease")},
+    "fleet": {"duration": non_negative, "lease_wait_max": non_negative,
+              "lease_wait_mean": non_negative, "completed": count,
+              "peak_queue_depth": count, "duplicate_executes": count},
+    "fairness": {"completion_ratio": _ratio, "bound": _ratio,
+                 "within_bound": boolean},
+    "tenants": functools.partial(object_of, check=_FLEET_TENANT,
+                                 nonempty=True),
+    "bit_exact": {"solo_vs_fleet": boolean, "tenants_checked": positive_int},
+    "security": {"unauthorized_rejected": boolean},
+}
 
 
 def validate_fleet_bench_payload(payload: Any) -> None:
@@ -371,70 +295,45 @@ def validate_fleet_bench_payload(payload: Any) -> None:
          "bit_exact": {"solo_vs_fleet": bool, "tenants_checked": int},
          "security": {"unauthorized_rejected": bool}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("experiment") == "tfleet", "$.experiment",
-             "fleet bench documents use experiment 'tfleet'")
-    config = payload.get("config")
-    _require(isinstance(config, dict), "$.config", "config must be an object")
-    for key in ("n_sites", "n_tenants", "runs_per_tenant", "n_experiments",
-                "n_steps", "sites_per_lease"):
-        _require(isinstance(config.get(key), int) and config[key] >= 1,
-                 f"$.config.{key}", "must be a positive integer")
-    _require(config["n_experiments"]
-             == config["n_tenants"] * config["runs_per_tenant"],
-             "$.config.n_experiments",
-             "must equal n_tenants * runs_per_tenant")
-    fleet = payload.get("fleet")
-    _require(isinstance(fleet, dict), "$.fleet", "fleet must be an object")
-    for key in ("duration", "lease_wait_max", "lease_wait_mean"):
-        _require(key in fleet, f"$.fleet.{key}", "missing")
-        _check_number(fleet[key], f"$.fleet.{key}")
-        _require(fleet[key] >= 0, f"$.fleet.{key}", "must be non-negative")
-    for key in ("completed", "peak_queue_depth", "duplicate_executes"):
-        _require(isinstance(fleet.get(key), int) and fleet[key] >= 0,
-                 f"$.fleet.{key}", "must be a non-negative integer")
-    fairness = payload.get("fairness")
-    _require(isinstance(fairness, dict), "$.fairness",
-             "fairness must be an object")
-    for key in ("completion_ratio", "bound"):
-        _require(key in fairness, f"$.fairness.{key}", "missing")
-        _check_number(fairness[key], f"$.fairness.{key}")
-        _require(fairness[key] >= 1.0, f"$.fairness.{key}",
-                 "ratios are >= 1")
-    _require(isinstance(fairness.get("within_bound"), bool),
-             "$.fairness.within_bound", "must be a boolean")
-    tenants = payload.get("tenants")
-    _require(isinstance(tenants, dict) and tenants, "$.tenants",
-             "tenants must be a non-empty object")
-    for tenant, record in tenants.items():
-        path = f"$.tenants.{tenant}"
-        _require(isinstance(record, dict), path,
-                 "tenant record must be an object")
-        for key in _FLEET_TENANT_KEYS:
-            _require(key in record, f"{path}.{key}", "missing")
-            _check_number(record[key], f"{path}.{key}")
-        for key in ("runs", "steps"):
-            _require(isinstance(record[key], int) and record[key] >= 1,
-                     f"{path}.{key}", "must be a positive integer")
-        _require(isinstance(record["duplicate_executes"], int)
-                 and record["duplicate_executes"] >= 0,
-                 f"{path}.duplicate_executes",
-                 "must be a non-negative integer")
-    bit_exact = payload.get("bit_exact")
-    _require(isinstance(bit_exact, dict), "$.bit_exact",
-             "bit_exact must be an object")
-    _require(isinstance(bit_exact.get("solo_vs_fleet"), bool),
-             "$.bit_exact.solo_vs_fleet", "must be a boolean")
-    _require(isinstance(bit_exact.get("tenants_checked"), int)
-             and bit_exact["tenants_checked"] >= 1,
-             "$.bit_exact.tenants_checked", "must be a positive integer")
-    security = payload.get("security")
-    _require(isinstance(security, dict), "$.security",
-             "security must be an object")
-    _require(isinstance(security.get("unauthorized_rejected"), bool),
-             "$.security.unauthorized_rejected", "must be a boolean")
+    _bench_document(payload, "tfleet", _FLEET_BENCH)
+    config = payload["config"]
+    require(config["n_experiments"]
+            == config["n_tenants"] * config["runs_per_tenant"],
+            "$.config.n_experiments",
+            "must equal n_tenants * runs_per_tenant")
+
+
+def _refusals_by_epoch(value: Any, path: str) -> None:
+    for epoch, refusals in mapping(value, path).items():
+        require(isinstance(epoch, str) and epoch.isdigit(),
+                f"{path}.{epoch}",
+                "epoch keys must be decimal strings (JSON object keys)")
+        positive_int(refusals, f"{path}.{epoch}")
+
+
+_QUEUE_BENCH = {
+    "config": {
+        **{key: positive_int
+           for key in ("n_sites", "n_tenants", "runs_per_tenant",
+                       "n_submissions", "n_steps", "checkpoint_every")},
+        "seed": integer,
+        "crash_times": functools.partial(array_of, check=positive,
+                                         nonempty=True),
+        "takeover_delay": number},
+    "campaign": {
+        **{key: count
+           for key in ("completed", "failed", "outstanding", "redeliveries",
+                       "voided", "journal_entries")},
+        "incarnations": positive_int, "final_epoch": positive_int,
+        "duration": number},
+    "fencing": {"refusals": count, "stale_accepts": count,
+                "refusals_by_epoch": _refusals_by_epoch,
+                "refusal_paths": functools.partial(array_of, check=string),
+                "every_crash_epoch_refused": boolean},
+    "exactness": {"duplicate_executes": count, "runs_checked": positive_int,
+                  "resubmit_deduped": boolean,
+                  "bit_exact_vs_uncrashed": boolean},
+}
 
 
 def validate_queue_bench_payload(payload: Any) -> None:
@@ -459,79 +358,31 @@ def validate_queue_bench_payload(payload: Any) -> None:
                        "resubmit_deduped": bool,
                        "bit_exact_vs_uncrashed": bool}}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == BENCH_SCHEMA_ID, "$.schema",
-             f"expected {BENCH_SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(payload.get("experiment") == "tqueue", "$.experiment",
-             "durable-queue bench documents use experiment 'tqueue'")
-    config = payload.get("config")
-    _require(isinstance(config, dict), "$.config", "config must be an object")
-    for key in ("n_sites", "n_tenants", "runs_per_tenant", "n_submissions",
-                "n_steps", "checkpoint_every"):
-        _require(isinstance(config.get(key), int) and config[key] >= 1,
-                 f"$.config.{key}", "must be a positive integer")
-    _require(config["n_submissions"]
-             == config["n_tenants"] * config["runs_per_tenant"],
-             "$.config.n_submissions",
-             "must equal n_tenants * runs_per_tenant")
-    _require(isinstance(config.get("seed"), int), "$.config.seed",
-             "must be an integer")
-    crash_times = config.get("crash_times")
-    _require(isinstance(crash_times, list) and crash_times,
-             "$.config.crash_times", "must be a non-empty list")
-    for i, value in enumerate(crash_times):
-        _check_number(value, f"$.config.crash_times[{i}]")
-        _require(value > 0, f"$.config.crash_times[{i}]",
-                 "must be positive")
-    _check_number(config.get("takeover_delay"), "$.config.takeover_delay")
-    campaign = payload.get("campaign")
-    _require(isinstance(campaign, dict), "$.campaign",
-             "campaign must be an object")
-    for key in ("completed", "failed", "outstanding", "redeliveries",
-                "voided", "journal_entries"):
-        _require(isinstance(campaign.get(key), int) and campaign[key] >= 0,
-                 f"$.campaign.{key}", "must be a non-negative integer")
-    for key in ("incarnations", "final_epoch"):
-        _require(isinstance(campaign.get(key), int) and campaign[key] >= 1,
-                 f"$.campaign.{key}", "must be a positive integer")
-    _require(campaign["incarnations"] == len(crash_times) + 1,
-             "$.campaign.incarnations",
-             "must equal len(crash_times) + 1")
-    _check_number(campaign.get("duration"), "$.campaign.duration")
-    fencing = payload.get("fencing")
-    _require(isinstance(fencing, dict), "$.fencing",
-             "fencing must be an object")
-    for key in ("refusals", "stale_accepts"):
-        _require(isinstance(fencing.get(key), int) and fencing[key] >= 0,
-                 f"$.fencing.{key}", "must be a non-negative integer")
-    by_epoch = fencing.get("refusals_by_epoch")
-    _require(isinstance(by_epoch, dict), "$.fencing.refusals_by_epoch",
-             "must be an object keyed by refused epoch")
-    for epoch, count in by_epoch.items():
-        path = f"$.fencing.refusals_by_epoch.{epoch}"
-        _require(isinstance(epoch, str) and epoch.isdigit(), path,
-                 "epoch keys must be decimal strings (JSON object keys)")
-        _require(isinstance(count, int) and count >= 1, path,
-                 "refusal counts must be positive integers")
-    paths = fencing.get("refusal_paths")
-    _require(isinstance(paths, list), "$.fencing.refusal_paths",
-             "must be a list of write-path names")
-    for i, name in enumerate(paths):
-        _require(isinstance(name, str) and bool(name),
-                 f"$.fencing.refusal_paths[{i}]",
-                 "must be a non-empty string")
-    _require(isinstance(fencing.get("every_crash_epoch_refused"), bool),
-             "$.fencing.every_crash_epoch_refused", "must be a boolean")
-    exactness = payload.get("exactness")
-    _require(isinstance(exactness, dict), "$.exactness",
-             "exactness must be an object")
-    _require(isinstance(exactness.get("duplicate_executes"), int)
-             and exactness["duplicate_executes"] >= 0,
-             "$.exactness.duplicate_executes",
-             "must be a non-negative integer")
-    _require(isinstance(exactness.get("runs_checked"), int)
-             and exactness["runs_checked"] >= 1,
-             "$.exactness.runs_checked", "must be a positive integer")
-    for key in ("resubmit_deduped", "bit_exact_vs_uncrashed"):
-        _require(isinstance(exactness.get(key), bool),
-                 f"$.exactness.{key}", "must be a boolean")
+    _bench_document(payload, "tqueue", _QUEUE_BENCH)
+    config = payload["config"]
+    require(config["n_submissions"]
+            == config["n_tenants"] * config["runs_per_tenant"],
+            "$.config.n_submissions",
+            "must equal n_tenants * runs_per_tenant")
+    require(payload["campaign"]["incarnations"]
+            == len(config["crash_times"]) + 1,
+            "$.campaign.incarnations", "must equal len(crash_times) + 1")
+
+
+#: bench documents by ``$.experiment``
+BENCH_VALIDATORS = {"tperf_ntcp": validate_stepping_bench_payload,
+                    "tfleet": validate_fleet_bench_payload,
+                    "tobs": validate_obs_bench_payload,
+                    "tqueue": validate_queue_bench_payload}
+
+
+def validate_bench_payload(payload: Any) -> None:
+    """A benchmark comparison document (repo-root ``BENCH_*.json``).
+
+    Dispatches on ``$.experiment`` through :data:`BENCH_VALIDATORS`; an
+    experiment not listed there is an error.
+    """
+    envelope(payload, BENCH_SCHEMA_ID)
+    experiment = one_of(payload.get("experiment"), "$.experiment",
+                        tuple(BENCH_VALIDATORS))
+    BENCH_VALIDATORS[experiment](payload)

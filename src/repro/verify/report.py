@@ -5,15 +5,33 @@ exploration (states explored, traces run, violations), the mutation
 regression (which seeded protocol breaks the checker caught), and the
 conformance replay (traces replayed through the live coordinator,
 divergences).  Like the benchmark documents (``repro.bench/v1``), the
-schema is hand-rolled and validated on emission, so a malformed report
-fails the run instead of rotting on disk.
+report is validated on emission with the shared schema layer
+(:mod:`repro.util.schema`), so a malformed report fails the run instead
+of rotting on disk.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
-from repro.telemetry.schema import SchemaError, _check_number, _require
+from repro.util.schema import (
+    SchemaError,
+    array,
+    array_of,
+    boolean,
+    count,
+    envelope,
+    fields,
+    integer,
+    nullable,
+    one_of,
+    positive_int,
+    present,
+    require,
+    string,
+    text,
+)
 from repro.verify.explorer import ExplorationResult
 
 __all__ = [
@@ -23,12 +41,6 @@ __all__ = [
 ]
 
 VERIFY_SCHEMA_ID = "repro.verify/v1"
-
-_EXPLORATION_KEYS = ("sites", "n_steps", "pipeline_depth", "max_faults",
-                     "traces", "states_explored", "violations")
-_VIOLATION_KEYS = ("invariant", "step", "site", "detail", "schedule")
-_MUTATION_KEYS = ("rule", "caught", "violations")
-_CONFORMANCE_KEYS = ("traces_replayed", "divergences")
 
 
 def _exploration_record(result: ExplorationResult) -> dict[str, Any]:
@@ -86,56 +98,31 @@ def build_report(explorations: list[ExplorationResult],
     return report
 
 
-def _validate_violation(record: Any, path: str) -> None:
-    _require(isinstance(record, dict), path, "violation must be an object")
-    for key in _VIOLATION_KEYS:
-        _require(key in record, f"{path}.{key}", "missing")
-    _require(isinstance(record["invariant"], str) and record["invariant"],
-             f"{path}.invariant", "must be a non-empty string")
-    _require(isinstance(record["step"], int), f"{path}.step",
-             "must be an integer")
-    _require(record["site"] is None or isinstance(record["site"], str),
-             f"{path}.site", "must be a string or null")
-    _require(isinstance(record["detail"], str), f"{path}.detail",
-             "must be a string")
-    _require(isinstance(record["schedule"], list), f"{path}.schedule",
-             "must be a list")
-    for i, event in enumerate(record["schedule"]):
-        event_path = f"{path}.schedule[{i}]"
-        _require(isinstance(event, dict), event_path,
-                 "fault event must be an object")
-        for key in ("step", "kind", "site"):
-            _require(key in event, f"{event_path}.{key}", "missing")
+def _pipeline_depth(value: Any, path: str) -> None:
+    one_of(integer(value, path), path, (0, 1))
 
 
-def _validate_exploration(record: Any, path: str) -> None:
-    _require(isinstance(record, dict), path,
-             "exploration record must be an object")
-    for key in _EXPLORATION_KEYS:
-        _require(key in record, f"{path}.{key}", "missing")
-    sites = record["sites"]
-    _require(isinstance(sites, list) and sites
-             and all(isinstance(site, str) for site in sites),
-             f"{path}.sites", "must be a non-empty list of strings")
-    for key in ("n_steps", "max_faults", "traces", "states_explored"):
-        _check_number(record[key], f"{path}.{key}")
-        _require(isinstance(record[key], int) and record[key] >= 0,
-                 f"{path}.{key}", "must be a non-negative integer")
-    _require(record["n_steps"] >= 1, f"{path}.n_steps", "must be >= 1")
-    _require(record["traces"] >= 1, f"{path}.traces", "must be >= 1")
-    _require(isinstance(record["pipeline_depth"], int)
-             and record["pipeline_depth"] in (0, 1),
-             f"{path}.pipeline_depth", "must be 0 or 1")
-    _require(isinstance(record["violations"], list), f"{path}.violations",
-             "must be a list")
-    for i, violation in enumerate(record["violations"]):
-        _validate_violation(violation, f"{path}.violations[{i}]")
+_FAULT_EVENT = {"step": present, "kind": present, "site": present}
+_VIOLATION = {
+    "invariant": string, "step": integer,
+    "site": nullable(text), "detail": text,
+    "schedule": functools.partial(array_of, check=_FAULT_EVENT),
+}
+_EXPLORATION = {
+    "sites": functools.partial(array_of, check=text, nonempty=True),
+    "n_steps": positive_int,
+    "pipeline_depth": _pipeline_depth,
+    "max_faults": count, "traces": positive_int, "states_explored": count,
+    "violations": functools.partial(array_of, check=_VIOLATION),
+}
+_MUTATION = {"rule": string, "caught": boolean, "violations": array}
+_CONFORMANCE = {"traces_replayed": count, "divergences": array}
 
 
 def validate_verify_payload(payload: Any) -> None:
     """Validate a full ``repro.verify/v1`` document.
 
-    Raises :class:`~repro.telemetry.schema.SchemaError` with a JSON path
+    Raises :class:`~repro.util.schema.SchemaError` with a JSON path
     to the offending field on any mismatch.
 
     Shape::
@@ -149,55 +136,25 @@ def validate_verify_payload(payload: Any) -> None:
                         "violations": [str, ...]}]?,
          "conformance": {"traces_replayed": int, "divergences": [...]}?}
     """
-    _require(isinstance(payload, dict), "$", "payload must be an object")
-    _require(payload.get("schema") == VERIFY_SCHEMA_ID, "$.schema",
-             f"expected {VERIFY_SCHEMA_ID!r}, got {payload.get('schema')!r}")
-    _require(isinstance(payload.get("ok"), bool), "$.ok",
-             "must be a boolean")
-    explorations = payload.get("explorations")
-    _require(isinstance(explorations, list) and explorations,
-             "$.explorations", "must be a non-empty list")
-    for i, record in enumerate(explorations):
-        _validate_exploration(record, f"$.explorations[{i}]")
-    if "mutations" in payload:
-        mutations = payload["mutations"]
-        _require(isinstance(mutations, list), "$.mutations",
-                 "must be a list")
-        for i, record in enumerate(mutations):
-            path = f"$.mutations[{i}]"
-            _require(isinstance(record, dict), path,
-                     "mutation record must be an object")
-            for key in _MUTATION_KEYS:
-                _require(key in record, f"{path}.{key}", "missing")
-            _require(isinstance(record["rule"], str) and record["rule"],
-                     f"{path}.rule", "must be a non-empty string")
-            _require(isinstance(record["caught"], bool), f"{path}.caught",
-                     "must be a boolean")
-            _require(isinstance(record["violations"], list),
-                     f"{path}.violations", "must be a list")
-    if "conformance" in payload:
-        conformance = payload["conformance"]
-        path = "$.conformance"
-        _require(isinstance(conformance, dict), path,
-                 "conformance must be an object")
-        for key in _CONFORMANCE_KEYS:
-            _require(key in conformance, f"{path}.{key}", "missing")
-        _require(isinstance(conformance["traces_replayed"], int)
-                 and conformance["traces_replayed"] >= 0,
-                 f"{path}.traces_replayed",
-                 "must be a non-negative integer")
-        _require(isinstance(conformance["divergences"], list),
-                 f"{path}.divergences", "must be a list")
+    envelope(payload, VERIFY_SCHEMA_ID)
+    boolean(payload.get("ok"), "$.ok")
+    explorations = array_of(payload.get("explorations"), "$.explorations",
+                            _EXPLORATION,
+                            nonempty=True)
     # Cross-field consistency: ok must reflect the violation lists.
     derived_ok = all(not record["violations"] for record in explorations)
     if "mutations" in payload:
+        mutations = array_of(payload["mutations"], "$.mutations",
+                             _MUTATION)
         derived_ok = derived_ok and all(record["caught"]
-                                        for record in payload["mutations"])
+                                        for record in mutations)
     if "conformance" in payload:
-        derived_ok = derived_ok and not payload["conformance"]["divergences"]
-    _require(payload["ok"] == derived_ok, "$.ok",
-             "must equal the conjunction of clean explorations, caught "
-             "mutations, and divergence-free conformance")
+        conformance = fields(payload["conformance"], "$.conformance",
+                             _CONFORMANCE)
+        derived_ok = derived_ok and not conformance["divergences"]
+    require(payload["ok"] == derived_ok, "$.ok",
+            "must equal the conjunction of clean explorations, caught "
+            "mutations, and divergence-free conformance")
 
 
 def ensure_valid(payload: dict[str, Any]) -> dict[str, Any]:
@@ -206,6 +163,6 @@ def ensure_valid(payload: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
-# Re-exported so callers need not import the telemetry module to catch
+# Re-exported so callers need not import the schema layer to catch
 # validation failures.
 VerifyReportError = SchemaError

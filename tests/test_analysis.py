@@ -568,6 +568,9 @@ class TestReporters:
             {"files": -1},
             {"counts": {"RPR002": 2}},       # counts disagree with findings
             {"findings": [{"path": "x"}]},   # finding missing fields
+            {"files": True},                 # bools are not integers
+            {"suppressed": True},
+            {"counts": {"RPR002": True}},
         ):
             bad = {**report, **mutation}
             with pytest.raises(ReproError):

@@ -131,6 +131,33 @@ class TestObservatoryCommands:
                      "--label", "nonsense"]) == 2
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["not json", "[]"])
+    def test_malformed_store_is_one_error_line(self, tmp_path, capsys,
+                                               text):
+        store = tmp_path / "bad.json"
+        store.write_text(text)
+        for argv in (["query", "a.b.c"], ["postmortem", "run"]):
+            assert main(["observatory", *argv, "--store", str(store)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+
+    def test_a_schema_error_past_the_read_keeps_its_traceback(self,
+                                                              tmp_path):
+        import json
+
+        from repro.observatory.query import QueryError
+        from repro.observatory.schema import SCHEMA_ID
+
+        store = tmp_path / "empty.json"
+        store.write_text(json.dumps({
+            "schema": SCHEMA_ID, "kind": "dump", "run_id": "r",
+            "time": 1.0, "series": [], "slo": [], "snapshots": []}))
+        with pytest.raises(QueryError, match=r"\$\.quantile"):
+            main(["observatory", "query", "a.b.c", "--store", str(store),
+                  "--agg", "quantile", "--quantile", "500"])
+
 
 class TestQueueCommands:
     def test_queue_requires_a_subcommand(self):
@@ -185,3 +212,13 @@ class TestQueueCommands:
         assert "completed           : 4/4" in out
         assert "incarnations        : 2 (final epoch 2)" in out
         assert "duplicate executes  : 0" in out
+
+    @pytest.mark.parametrize("command", ["status", "drain"])
+    def test_corrupt_journal_is_one_error_line(self, tmp_path, capsys,
+                                               command):
+        journal = tmp_path / "q.jsonl"
+        journal.write_text("{truncated\n")
+        assert main(["queue", command, "--journal", str(journal)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "corrupt journal line" in err
+        assert err.count("\n") == 1

@@ -182,6 +182,12 @@ class TestFileJournalStore:
             run_store(FileJournalStore(path).append(
                 "epoch", {"epoch": 1, "scheduler_id": "s"}, time=1.0))
 
+    def test_replay_of_a_corrupt_line_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text("{truncated\n")
+        with pytest.raises(QueueSchemaError, match="corrupt journal line"):
+            run_store(FileJournalStore(path).replay())
+
     def test_non_ascending_seq_is_rejected(self, tmp_path):
         path = tmp_path / "q.jsonl"
         lines = [build_entry(seq=2, time=0.0, kind="submit",

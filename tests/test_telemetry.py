@@ -318,6 +318,17 @@ class TestExportAndSchema:
         with pytest.raises(SchemaError, match="close at or after"):
             validate_jsonl_export(loaded)
 
+    @pytest.mark.parametrize("loaded", [[], {"meta": []}, {"metrics": 3}])
+    def test_malformed_export_is_a_schema_error(self, loaded):
+        with pytest.raises(SchemaError):
+            validate_jsonl_export(loaded)
+
+    def test_non_object_trace_line_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"kind": "meta"}\n[1, 2]\n')
+        with pytest.raises(SchemaError, match="t.jsonl:2"):
+            TelemetryHub.load_jsonl(path)
+
 
 def run_most_like(n_steps=8, latency=0.02, compute_time=0.1):
     """A two-site MS-PSDS run; returns (result, kernel)."""
@@ -438,6 +449,18 @@ class TestCoordinatorDecomposition:
         assert "text" in capsys.readouterr().err
         assert main(["--critical-path", "--format", "json", "t.jsonl"]) == 2
         assert "no json format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "{truncated"])
+    @pytest.mark.parametrize("flags", [[], ["--critical-path"],
+                                       ["--format", "json"]])
+    def test_report_cli_malformed_trace_exits_1(self, tmp_path, capsys,
+                                                line, flags):
+        from repro.telemetry.report import main
+
+        path = tmp_path / "t.jsonl"
+        path.write_text(line + "\n")
+        assert main([*flags, str(path)]) == 1
+        assert "not a telemetry trace" in capsys.readouterr().err
 
     def test_report_from_live_spans(self):
         _, k = run_most_like(n_steps=4)
