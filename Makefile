@@ -4,7 +4,8 @@ export PYTHONPATH := src
 .PHONY: test lint analyze verify verify-smoke smoke monitor-smoke \
 	chaos-smoke fleet-smoke observatory-smoke queue-smoke bench \
 	bench-perf bench-perf-smoke bench-fleet bench-fleet-smoke bench-obs \
-	bench-obs-smoke bench-queue bench-queue-smoke validate-bench check
+	bench-obs-smoke bench-queue bench-queue-smoke validate-bench \
+	perfbench-test check
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -84,6 +85,11 @@ bench-queue-smoke:
 
 validate-bench:
 	$(PYTHON) scripts/validate_bench.py
+
+# The two-clock benchmark's own tests: bit-exact histories, no duplicate
+# executes, counts stable across runs, every tracer wrapper restored.
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench
 
 check: lint analyze verify test smoke monitor-smoke chaos-smoke \
 	fleet-smoke observatory-smoke queue-smoke bench-perf-smoke \

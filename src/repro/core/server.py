@@ -50,6 +50,8 @@ class NTCPServer(GridService):
         self.plugin = plugin
         self.at_most_once = at_most_once
         self.transactions: dict[str, Transaction] = {}
+        # names of non-terminal transactions, kept current by _publish
+        self._open: set[str] = set()
         self._completion_events: dict[str, Any] = {}
         self._counters: dict[str, Any] | None = None  # built on attach
 
@@ -83,9 +85,22 @@ class NTCPServer(GridService):
             return {key: 0 for key in STAT_KEYS}
         return {key: counter.value for key, counter in self._counters.items()}
 
+    @property
+    def backlog(self) -> int:
+        """Transactions still in a non-terminal state, without a scan."""
+        return len(self._open)
+
     # -- state publication -----------------------------------------------------
     def _publish(self, txn: Transaction) -> None:
-        """Refresh the transaction's SDE and the lastChanged SDE."""
+        """Refresh the backlog, the transaction's SDE and lastChanged.
+
+        Every state change passes through here (the ``at_most_once=False``
+        re-run aside), so the backlog stays live at O(1) per transition.
+        """
+        if txn.state.terminal:
+            self._open.discard(txn.name)
+        else:
+            self._open.add(txn.name)
         self.service_data.set(f"transaction:{txn.name}", txn.to_sde_value())
         self.service_data.set("lastChanged", txn.name)
         self.emit("transaction." + txn.state.value, transaction=txn.name)
@@ -181,6 +196,7 @@ class NTCPServer(GridService):
                 # Ablation: at-least-once semantics re-run the plugin.
                 done = self.kernel.event(name=f"redo({txn.name})")
                 txn.state = TransactionState.EXECUTING  # bypass the guard
+                self._open.add(txn.name)
                 return self._run_plugin(txn, done, span)
             span.end(state=txn.state.value, duplicate=True)
             return ExecutionOutcome.from_result(txn.result)

@@ -97,13 +97,12 @@ def ntcp_health_probe(server) -> Probe:
     """Health probe over an :class:`~repro.core.server.NTCPServer`.
 
     Backlog counts transactions still in a non-terminal state — the
-    paper's "how far behind is this site" question.
+    paper's "how far behind is this site" question.  The server keeps
+    that count live, so a probe costs the same at step 10 and step 1500.
     """
     def probe() -> dict[str, Any]:
-        backlog = sum(1 for txn in server.transactions.values()
-                      if not txn.state.terminal)
         metrics = server.metrics()
-        return {"status": "running", "backlog": backlog,
+        return {"status": "running", "backlog": server.backlog,
                 "plugin": server.plugin.plugin_type,
                 "detail": {"lastChanged": server.service_data.value(
                                "lastChanged"),

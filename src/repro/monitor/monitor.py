@@ -37,7 +37,6 @@ from repro.monitor.schema import (
     ALERT_KINDS,
     SCHEMA_ID,
     validate_alert_payload,
-    validate_metrics_sample,
 )
 from repro.nsds.stream import StreamSample
 from repro.ogsi.service import GridService
@@ -145,11 +144,14 @@ class ExperimentMonitor(GridService):
 
     # -- ingest ---------------------------------------------------------------
     def on_stream_sample(self, sample: StreamSample) -> None:
-        """NSDSReceiver callback: absorb one streamed metrics payload."""
+        """NSDSReceiver callback: absorb one streamed metrics payload.
+
+        The payload is the object :class:`TelemetryStreamer` validated
+        before ingesting it into NSDS; it is not checked again here.
+        """
         payload = sample.value
         if not isinstance(payload, dict) or payload.get("kind") != "metrics":
             return
-        validate_metrics_sample(payload)
         self.samples_seen += 1
         self._tm_samples.inc()
         for record in payload["metrics"]:

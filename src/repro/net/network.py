@@ -117,7 +117,6 @@ class Network:
         self._counters = {key: telemetry.counter(f"net.network.{key}")
                           for key in self.stats}
         self._transit_time = telemetry.histogram("net.network.transit_time")
-        self._payload_bytes = telemetry.histogram("net.network.payload_bytes")
 
     def _count(self, key: str) -> None:
         self.stats[key] += 1
@@ -183,8 +182,6 @@ class Network:
         msg = Message(src=src, dst=dst, port=port, payload=payload,
                       msg_id=self._msg_ids(), send_time=self.kernel.now)
         self._count("sent")
-        # repr length is a cheap, deterministic proxy for serialized size.
-        self._payload_bytes.observe(len(repr(payload)))
         if src == dst:
             # Loopback: same-host services (e.g. the Mini-MOST single-PC
             # deployment) talk through the stack with negligible delay.

@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable
 
-from repro.monitor.schema import validate_metrics_sample
 from repro.observatory.schema import TIERS
 
 #: raw appends folded into one bucket, per rollup tier
@@ -155,6 +154,8 @@ class TimeSeriesStore:
         self.raw_capacity = raw_capacity
         self.rollup_capacity = rollup_capacity
         self._series: dict[tuple, Series] = {}
+        # the series in canonical order; rebuilt after a series is added
+        self._ordered: list[Series] | None = None
         self.samples_ingested = 0
         self._tm_appends = None
         self._tm_samples = None
@@ -174,13 +175,17 @@ class TimeSeriesStore:
         if series is None:
             series = Series(name, labels, raw_capacity=self.raw_capacity,
                             rollup_capacity=self.rollup_capacity)
-            self._series[key] = series
+            self._add(key, series)
             if self._g_series is not None:
                 self._g_series.set(len(self._series))
         series.append(time, float(value))
         if self._tm_appends is not None:
             self._tm_appends.inc()
         return series
+
+    def _add(self, key: tuple, series: Series) -> None:
+        self._series[key] = series
+        self._ordered = None
 
     def ingest_metrics_payload(self, payload: dict[str, Any]) -> int:
         """Absorb one validated ``repro.monitor/v1`` metrics sample.
@@ -189,8 +194,12 @@ class TimeSeriesStore:
         any window); gauges store their value; histograms fan out into
         ``stat=count/mean/p50/p95/p99`` sub-series.  Returns the number
         of points appended.
+
+        The payload is not checked here: streamed samples are the objects
+        :class:`~repro.monitor.streamer.TelemetryStreamer` validated
+        before ingesting them into NSDS, and an in-process hand-over is
+        not a trust boundary.
         """
-        validate_metrics_sample(payload)
         time = payload["time"]
         appended = 0
         for record in payload["metrics"]:
@@ -223,14 +232,19 @@ class TimeSeriesStore:
     # -- reading --------------------------------------------------------------
     def series(self) -> list[Series]:
         """Every series, in canonical (name, labels) order."""
-        return [self._series[key] for key in sorted(self._series)]
+        return list(self._canonical())
+
+    def _canonical(self) -> list[Series]:
+        if self._ordered is None:
+            self._ordered = [self._series[key] for key in sorted(self._series)]
+        return self._ordered
 
     def match(self, metric: str | None = None,
               selector: dict[str, str] | None = None) -> list[Series]:
         """Series matching an exact metric name and label-equality selector."""
         wanted = selector or {}
         out = []
-        for series in self.series():
+        for series in self._canonical():
             if metric is not None and series.name != metric:
                 continue
             if any(series.labels.get(k) != v for k, v in wanted.items()):
@@ -261,5 +275,5 @@ class TimeSeriesStore:
         for record in records:
             series = Series.from_record(record, raw_capacity=raw_capacity,
                                         rollup_capacity=rollup_capacity)
-            store._series[series_key(series.name, series.labels)] = series
+            store._add(series_key(series.name, series.labels), series)
         return store

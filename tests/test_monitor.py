@@ -3,6 +3,8 @@
 import pytest
 
 from repro.control import SimulationPlugin, make_displacement_actions
+from repro.core import Action
+from repro.core.plugin import ControlPlugin
 from repro.monitor import (
     Alert,
     AlertThresholds,
@@ -20,7 +22,7 @@ from repro.monitor import (
 )
 from repro.monitor.schema import MonitorSchemaError, SCHEMA_ID
 from repro.most import ExperimentSession, MOSTConfig
-from repro.net import Network, RpcClient
+from repro.net import Network, RemoteException, RpcClient
 from repro.net.network import Message
 from repro.nsds import NSDSReceiver, NSDSService, StreamSample
 from repro.ogsi import ServiceContainer
@@ -29,6 +31,7 @@ from repro.sim import Kernel
 from repro.structural import LinearSubstructure
 from repro.telemetry.report import CORE_PHASES
 from repro.testing import make_site
+from repro.util.errors import PolicyViolation
 
 
 # -- payload builders ---------------------------------------------------------
@@ -177,6 +180,119 @@ class TestHealthPublisher:
 
         env.run(go())
         assert probe()["backlog"] == 1  # proposed, never executed/aborted
+
+
+class ScriptedPlugin(ControlPlugin):
+    """Each proposal's first action kind picks its fate at the site."""
+
+    plugin_type = "scripted"
+
+    def __init__(self):
+        super().__init__()
+        self.runs = 0
+
+    def review(self, proposal):
+        if proposal.actions[0].kind == "forbidden":
+            raise PolicyViolation("forbidden action")
+
+    def execute(self, proposal):
+        kind = proposal.actions[0].kind
+        yield self.kernel.timeout(1e9 if kind == "stuck" else 0.5)
+        self.runs += 1
+        if kind == "crash":
+            raise RuntimeError("actuator fault")
+        return {"value": 1.0}
+
+
+def open_transactions(server) -> int:
+    """The backlog by brute force: every non-terminal transaction held."""
+    return sum(1 for txn in server.transactions.values()
+               if not txn.state.terminal)
+
+
+class TestLiveBacklog:
+    """The probe's live backlog equals a full rescan after every change."""
+
+    def test_backlog_matches_a_rescan_through_every_transition(self):
+        env = make_site(ScriptedPlugin(), timeout=100.0, retries=0)
+        server, handle, client = env.server, env.handle, env.client
+        probe = ntcp_health_probe(server)
+        seen = {"checks": 0, "states": set()}
+
+        def watch():
+            # sample mid-flight states (executing, a timed-out plugin run)
+            while True:
+                assert probe()["backlog"] == open_transactions(server)
+                seen["checks"] += 1
+                seen["states"].update(txn.state.value
+                                      for txn in server.transactions.values())
+                yield env.kernel.timeout(0.05)
+
+        def checked(gen):
+            try:
+                result = yield from gen
+            except RemoteException as exc:
+                result = exc.remote_message
+            assert probe()["backlog"] == open_transactions(server)
+            return result
+
+        def propose(name, kind="move", **kw):
+            return checked(client.propose(handle, name, [Action(kind)], **kw))
+
+        def execute(name):
+            return checked(client.execute(handle, name))
+
+        def go():
+            assert (yield from propose("ok")).state == "accepted"
+            yield from execute("ok")                       # executing, executed
+            assert (yield from propose("no", "forbidden")).state == "rejected"
+            yield from propose("drop")
+            yield from checked(client.cancel(handle, "drop"))
+            yield from propose("late", proposal_lifetime=1.0)
+            yield env.kernel.timeout(5.0)
+            assert "expired" in (yield from execute("late"))
+            yield from propose("crash", "crash")
+            assert "actuator fault" in (yield from execute("crash"))
+            yield from propose("stuck", "stuck", execution_timeout=2.0)
+            assert "exceeded timeout" in (yield from execute("stuck"))
+            yield from execute("ok")                       # stored result
+            yield from propose("twice")
+            first = env.kernel.process(execute("twice"))
+            second = env.kernel.process(execute("twice"))  # joins in-flight
+            yield env.kernel.all_of([first, second])
+            server.at_most_once = False
+            yield from execute("ok")                       # re-runs the plugin
+            yield from propose("open")                     # left accepted
+            return probe()["backlog"]
+
+        env.kernel.process(watch(), name="backlog-watch")
+        assert env.run(go()) == 1 == open_transactions(server)
+        assert server.plugin.runs == 4                     # ok x2, crash, twice
+        states = {txn.state.value for txn in server.transactions.values()}
+        assert states == {"executed", "rejected", "cancelled", "failed",
+                          "accepted"}
+        assert "executing" in seen["states"] and seen["checks"] > 100
+        assert server.metrics()["duplicate_executes"] == 3
+
+    def test_probe_does_not_scan_transaction_history(self):
+        class NoScan(dict):
+            def values(self):
+                raise AssertionError("probe scanned every transaction")
+
+            items = keys = __iter__ = values
+
+        env = make_site(ScriptedPlugin())
+        probe = ntcp_health_probe(env.server)
+
+        def go():
+            for i in range(2000):
+                yield from env.client.propose_and_execute(
+                    env.handle, f"t{i}", [Action("move")])
+            yield from env.client.propose(env.handle, "open", [Action("move")])
+
+        env.run(go())
+        env.server.transactions = NoScan(env.server.transactions)
+        assert probe()["backlog"] == 1
 
 
 def streamer_env(**kw):

@@ -10,10 +10,13 @@ postmortem, the OGSI service front end, and the full session wiring
 """
 
 import json
+import sys
 
 import pytest
 
 import repro
+from repro.monitor import ExperimentMonitor, TelemetryStreamer
+from repro.monitor.schema import validate_metrics_sample
 from repro.most import ExperimentSession, MOSTConfig
 from repro.net import Network, RpcClient
 from repro.nsds import StreamSample
@@ -152,6 +155,38 @@ class TestStore:
         reg = kernel.telemetry.registry
         assert reg.find("observatory.store.appends").value == 3
         assert reg.find("observatory.store.series").value == 2
+
+    def test_match_keeps_canonical_order_as_series_arrive(self):
+        store = TimeSeriesStore(None)
+
+        def canonical(metric=None, **selector):
+            return sorted(((s.name, sorted(s.labels.items()))
+                           for s in store._series.values()
+                           if (metric is None or s.name == metric)
+                           and all(s.labels.get(k) == v
+                                   for k, v in selector.items())))
+
+        def matched(metric=None, **selector):
+            return [(s.name, sorted(s.labels.items()))
+                    for s in store.match(metric, selector)]
+
+        arrivals = [("m.b", {"site": "y"}), ("m.b", {"site": "x"}),
+                    ("m.a", {"site": "z", "stat": "p95"}), ("m.c", {}),
+                    ("m.a", {"site": "z", "stat": "count"}),
+                    ("m.b", {"site": "x", "run": "r2"})]
+        for i, (name, labels) in enumerate(arrivals):
+            store.append(name, labels, float(i), 1.0)
+            store.append("m.b", {"site": "y"}, float(i), 2.0)  # no new series
+            for query in ({}, {"metric": "m.b"}, {"site": "z"},
+                          {"metric": "m.a", "stat": "p95"}):
+                assert matched(**query) == canonical(**query)
+            assert [(s.name, sorted(s.labels.items()))
+                    for s in store.series()] == canonical()
+        rebuilt = TimeSeriesStore.from_records(store.series_records())
+        assert [s.to_record() for s in rebuilt.match()] == \
+            store.series_records()
+        rebuilt.append("m.0", {}, 9.0, 1.0)
+        assert rebuilt.match()[0].name == "m.0"
 
     def test_offline_round_trip_preserves_query_answers(self):
         store = TimeSeriesStore(None)
@@ -591,6 +626,58 @@ class TestSessionIntegration:
             obs.postmortem("never-ran")
         # the drain phase carried the snapshot to the repository
         assert obs.registered_snapshots
+
+    def test_streamer_validation_covers_every_consumed_sample(
+            self, monkeypatch):
+        # Each metrics sample is validated once, by the streamer that
+        # produced it; the console and the TSDB consume that very object.
+        validations, flushed, consumed = [], [], []
+
+        def counting(payload):
+            validations.append(payload)
+            validate_metrics_sample(payload)
+
+        for module in [m for name, m in sorted(sys.modules.items())
+                       if name.startswith("repro")]:
+            if getattr(module, "validate_metrics_sample", None) is \
+                    validate_metrics_sample:
+                monkeypatch.setattr(module, "validate_metrics_sample",
+                                    counting)
+
+        def spy(method, record):
+            def wrapper(self, *args):
+                value = method(self, *args)
+                record(args[0] if args else value)
+                return value
+            return wrapper
+
+        monkeypatch.setattr(TelemetryStreamer, "flush",
+                            spy(TelemetryStreamer.flush, flushed.append))
+        monkeypatch.setattr(TimeSeriesStore, "ingest_metrics_payload",
+                            spy(TimeSeriesStore.ingest_metrics_payload,
+                                consumed.append))
+
+        def from_sample(sample):
+            if isinstance(sample.value, dict) and \
+                    sample.value.get("kind") == "metrics":
+                consumed.append(sample.value)
+
+        monkeypatch.setattr(ExperimentMonitor, "on_stream_sample",
+                            spy(ExperimentMonitor.on_stream_sample,
+                                from_sample))
+        outcome = (ExperimentSession(small(), run_id="obs-once")
+                   .with_observatory()
+                   .run())
+        assert outcome.completed and flushed
+        assert len(validations) == len(flushed)
+        assert all(v is f for v, f in zip(validations, flushed))
+        sent = {id(payload) for payload in flushed}
+        assert consumed and all(id(payload) in sent for payload in consumed)
+        obs = outcome.observatory
+        assert len(consumed) == (obs.monitor_kit.monitor.samples_seen
+                                 + obs.store.samples_ingested)
+        assert obs.monitor_kit.monitor.samples_seen > 0
+        assert obs.store.samples_ingested > 0
 
     def test_dump_round_trips_through_an_offline_store(self):
         outcome = (ExperimentSession(small(), run_id="obs-dump")
